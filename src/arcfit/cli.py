@@ -112,8 +112,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    if args.tol < 0.0:
-        print("error: --tol must be nonnegative", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        print("error: --tol must be finite and nonnegative", file=sys.stderr)
         return 2
     polyline = read_points(args.input)
     path = compress(polyline, args.tol, prefilter=args.prefilter)

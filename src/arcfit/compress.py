@@ -278,8 +278,8 @@ def compress(polyline, tol: float, *, segment_penalty: float = SEGMENT_PENALTY,
     returned primitives). With prefilter=True arc candidates are restricted
     to seeded windows, trading optimality guarantees for speed.
     """
-    if tol < 0.0:
-        raise ValueError("tolerance must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     n = len(polyline)
     prefix = build_prefix(polyline)
     arc_pairs = (_seeded_arc_pairs(polyline, prefix, tol, arc_penalty)

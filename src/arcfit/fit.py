@@ -31,7 +31,8 @@ import numpy as np
 
 from . import dirsearch
 from .errors import CollinearOrDegenerate, DegeneratePencil, NoArcExists
-from .moments import MomentAccumulator, NormalizedMoments, centroid, normalized, translate
+from .moments import (MomentAccumulator, NormalizedMoments, centroid, normalized,
+                      scale_exponent, translate)
 from .quadratio import QuadRatio, minimize_ratio
 
 __all__ = [
@@ -159,17 +160,20 @@ class AnchoredQuadForms:
 @dataclass(frozen=True)
 class ChordLine:
     """Perpendicular bisector of the two anchors: candidate centers are
-    (px + alpha*t, py + beta*t) with (px, py) the chord midpoint."""
+    (px + alpha*u, py + beta*u) with (px, py) the chord midpoint and
+    u = t * 2**exp, where t is the variable of the two-anchor ratio (exp is
+    0 unless the data needed an exact rescale into the float range)."""
 
     px: float
     py: float
     alpha: float
     beta: float
     half_chord: float
-    t: float | None = None
+    exp: int = 0
 
     def point_at(self, t: float) -> tuple[float, float]:
-        return self.px + self.alpha * t, self.py + self.beta * t
+        u = math.ldexp(t, self.exp)
+        return self.px + self.alpha * u, self.py + self.beta * u
 
 
 def _as_normalized(m) -> NormalizedMoments:
@@ -180,25 +184,33 @@ def _as_normalized(m) -> NormalizedMoments:
     raise TypeError(f"expected moments, got {type(m).__name__}")
 
 
-def _shifted_frame(m, target: tuple[float, float] | None,
-                   pre_center: bool) -> tuple[NormalizedMoments, float, float]:
-    """Normalized moments in a frame shifted so `target` (default: the data
-    centroid) sits at the origin. Exact when given an accumulator."""
-    if not pre_center:
-        return _as_normalized(m), 0.0, 0.0
+def _shifted_frame(m, target: tuple[float, float] | None, pre_center: bool
+                   ) -> tuple[NormalizedMoments, float, float, int]:
+    """Normalized moments (nm, tx, ty, k) of the points mapped to
+    (p - t) * 2**-k: shifted so `t` (default: the data centroid) sits at the
+    origin when pre_center, and, for an accumulator only, rescaled by an
+    exact power of two when the data scale would push fourth-order moments
+    out of the float range (k is 0 otherwise). Exact when given an
+    accumulator. Map frame lengths back with math.ldexp(value, k)."""
     if isinstance(m, MomentAccumulator):
-        tx, ty = centroid(m) if target is None else target
-        return normalized(translate(m, -tx, -ty)), tx, ty
+        tx, ty = 0.0, 0.0
+        if pre_center:
+            tx, ty = centroid(m) if target is None else target
+            m = translate(m, -tx, -ty)
+        k = scale_exponent(m)
+        return normalized(m, k), tx, ty, k
     nm = _as_normalized(m)
+    if not pre_center:
+        return nm, 0.0, 0.0, 0
     tx, ty = nm.mean if target is None else target
-    return nm.translated(-tx, -ty), tx, ty
+    return nm.translated(-tx, -ty), tx, ty, 0
 
 
 def kasa_fit(m, pre_center: bool = True) -> Circle:
     """Algebraic circle fit: least squares on the squared-distance residuals,
     solved from moments alone. Biased low on short arcs; used as the starting
     point for free_fit."""
-    nm, sx, sy = _shifted_frame(m, None, pre_center)
+    nm, sx, sy, k = _shifted_frame(m, None, pre_center)
     mx, my = nm.m10, nm.m01
     mu20 = nm.m20 - mx * mx
     mu11 = nm.m11 - mx * my
@@ -221,7 +233,8 @@ def kasa_fit(m, pre_center: bool = True) -> Circle:
     uc = (rx * mu02 - ry * mu11) / det
     vc = (ry * mu20 - rx * mu11) / det
     r = math.sqrt(uc * uc + vc * vc + mu20 + mu02)
-    return Circle(mx + uc + sx, my + vc + sy, r)
+    return Circle(math.ldexp(mx + uc, k) + sx, math.ldexp(my + vc, k) + sy,
+                  math.ldexp(r, k))
 
 
 def fit_coeffs(nm: NormalizedMoments, e: Estimate) -> FitCoeffs:
@@ -327,20 +340,23 @@ def free_fit(m, sweeps: int = 1, pre_center: bool = True, tol: float = 0.0) -> C
     """Unconstrained fit: algebraic start, then `sweeps` eigen-direction
     sweeps on the bias-corrected objective. One sweep is normally enough;
     use sweeps=20 with tol=1e-14 to converge beyond visible change."""
-    nm, sx, sy = _shifted_frame(m, None, pre_center)
+    nm, sx, sy, k = _shifted_frame(m, None, pre_center)
     start = kasa_fit(nm, pre_center=False)
     obj = CircleObjective(nm)
     x = dirsearch.minimize(obj, [start.cx, start.cy, start.r],
                            sweeps=sweeps, tol=tol)
-    return Circle(float(x[0]) + sx, float(x[1]) + sy, float(x[2]))
+    return Circle(math.ldexp(float(x[0]), k) + sx,
+                  math.ldexp(float(x[1]), k) + sy,
+                  math.ldexp(float(x[2]), k))
 
 
 def penalty(m, c: Circle) -> float:
     """O(1) approximation of the sum of squared radial deviations from the
     circle: total weight times the objective value at the circle."""
-    nm, _, _ = _shifted_frame(m, (c.cx, c.cy), True)
-    coeffs = fit_coeffs(nm, Estimate(0.0, 0.0, c.r))
-    return nm.w * max(coeffs.v, 0.0) / (4.0 * c.r * c.r)
+    nm, _, _, k = _shifted_frame(m, (c.cx, c.cy), True)
+    r = math.ldexp(c.r, -k)
+    coeffs = fit_coeffs(nm, Estimate(0.0, 0.0, r))
+    return math.ldexp(nm.w * max(coeffs.v, 0.0) / (4.0 * r * r), 2 * k)
 
 
 def one_point_matrices(m, anchor) -> AnchoredQuadForms:
@@ -393,7 +409,7 @@ def one_point_fit(m, anchor) -> Circle:
     lies on the circle by construction.
     """
     xa, ya = float(anchor[0]), float(anchor[1])
-    nm, _, _ = _shifted_frame(m, (xa, ya), True)
+    nm, _, _, k = _shifted_frame(m, (xa, ya), True)
     forms = one_point_matrices(nm, (0.0, 0.0))
     a = forms.a
     a11 = a[2, 2]
@@ -410,7 +426,8 @@ def one_point_fit(m, anchor) -> Circle:
         s = -(a[0, 2] * hx + a[1, 2] * hy) / a11
         if abs(s) <= min_s:
             continue
-        gx, gy = hx / s + xa, hy / s + ya
+        gx = math.ldexp(hx / s, k) + xa
+        gy = math.ldexp(hy / s, k) + ya
         # radius from the stored center so the anchor residual rechecks to 0
         return Circle(gx, gy, math.hypot(gx - xa, gy - ya))
 
@@ -491,11 +508,13 @@ def refine_one_point(m, anchor, start: Circle, sweeps: int = 20,
     gap = abs(math.hypot(start.cx - xa, start.cy - ya) - start.r)
     if gap > 1e-9 * start.r:
         raise ValueError("start circle does not pass through the anchor")
-    nm, _, _ = _shifted_frame(m, (xa, ya), True)
+    nm, _, _, k = _shifted_frame(m, (xa, ya), True)
     obj = AnchoredObjective(nm)
-    x = dirsearch.minimize(obj, [start.cx - xa, start.cy - ya],
+    x = dirsearch.minimize(obj, [math.ldexp(start.cx - xa, -k),
+                                 math.ldexp(start.cy - ya, -k)],
                            sweeps=sweeps, tol=tol)
-    gx, gy = float(x[0]) + xa, float(x[1]) + ya
+    gx = math.ldexp(float(x[0]), k) + xa
+    gy = math.ldexp(float(x[1]), k) + ya
     return Circle(gx, gy, math.hypot(gx - xa, gy - ya))
 
 
@@ -504,7 +523,9 @@ def two_point_ratio(m, p1, p2) -> tuple[QuadRatio, ChordLine]:
 
     Centers are midpoint + t*(alpha, beta). In midpoint coordinates the
     per-point residual is linear in t and the squared anchor distance is
-    h^2 + t^2, so the objective is a ratio of quadratics in t.
+    h^2 + t^2, so the objective is a ratio of quadratics in t. For data far
+    outside the float-friendly scale the ratio is in t * 2**-line.exp
+    instead; line.point_at takes care of it.
     """
     x1, y1 = float(p1[0]), float(p1[1])
     x2, y2 = float(p2[0]), float(p2[1])
@@ -516,8 +537,9 @@ def two_point_ratio(m, p1, p2) -> tuple[QuadRatio, ChordLine]:
     beta = (x2 - x1) / chord
     mx, my = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
 
-    nm, _, _ = _shifted_frame(m, (mx, my), True)
-    h2 = h * h
+    nm, _, _, k = _shifted_frame(m, (mx, my), True)
+    hs = math.ldexp(h, -k)
+    h2 = hs * hs
     s4 = nm.m40 + 2.0 * nm.m22 + nm.m04
     s2 = nm.m20 + nm.m02
     a0 = s4 - 2.0 * h2 * s2 + h2 * h2
@@ -526,7 +548,8 @@ def two_point_ratio(m, p1, p2) -> tuple[QuadRatio, ChordLine]:
     a2 = 4.0 * (alpha * alpha * nm.m20 + 2.0 * alpha * beta * nm.m11
                 + beta * beta * nm.m02)
     ratio = QuadRatio(a=(a0, a1, a2), b=(4.0 * h2, 0.0, 4.0))
-    return ratio, ChordLine(px=mx, py=my, alpha=alpha, beta=beta, half_chord=h)
+    return ratio, ChordLine(px=mx, py=my, alpha=alpha, beta=beta,
+                            half_chord=h, exp=k)
 
 
 def two_point_fit(m, p1, p2) -> Circle:
@@ -540,7 +563,8 @@ def two_point_fit(m, p1, p2) -> Circle:
     if best is None:
         raise NoArcExists("no finite arc improves on the chord")
     spread = 0.5 * math.sqrt(max(ratio.a[2], 0.0))
-    if abs(best.x) > _MAX_CENTER_SCALES * max(line.half_chord, spread):
+    half_chord = math.ldexp(line.half_chord, -line.exp)
+    if abs(best.x) > _MAX_CENTER_SCALES * max(half_chord, spread):
         raise NoArcExists("minimizing center is numerically at infinity")
     cx, cy = line.point_at(best.x)
     r = math.hypot(cx - float(p1[0]), cy - float(p1[1]))

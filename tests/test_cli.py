@@ -147,6 +147,67 @@ class TestCompressCommand:
         code, *_ = run(capsys, "compress", str(path), "--tol", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_rejected(self, capsys, tmp_path, tol):
+        path = tmp_path / "tri.txt"
+        write_points(path, [(0, 0), (5, 5), (10, 0)])
+        code, out, err = run(capsys, "compress", str(path), f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity extensions."""
+    def refuse(token):
+        raise ValueError(f"non-finite number {token} in output")
+    return json.loads(text, parse_constant=refuse)
+
+
+# (offset, spread) of the test arc: tiny and huge, at and away from the origin
+EXTREME_SCALES = [(0.0, 1e-150), (3e-150, 1e-150), (0.0, 1e150), (3e150, 1e150)]
+
+
+class TestExtremeScales:
+    """Well-posed input at any coordinate scale gets a finite result: no
+    traceback, no non-finite number and no spurious degenerate exit."""
+
+    @pytest.mark.parametrize("offset,spread", EXTREME_SCALES)
+    @pytest.mark.parametrize("n_anchors", [0, 1, 2])
+    def test_fit(self, capsys, tmp_path, offset, spread, n_anchors):
+        truth = af.Circle(offset, -offset, spread)
+        pts = circle_points(truth, 0.3, 2.4, 30)
+        pts += np.random.default_rng(7).normal(0, 1e-2 * spread, pts.shape)
+        path = tmp_path / "arc.txt"
+        write_points(path, pts)
+        anchors = [f"--through={float(x)!r},{float(y)!r}"
+                   for x, y in (pts[0], pts[-1])]
+        code, out, err = run(capsys, "fit", str(path), *anchors[:n_anchors])
+        assert code == 0, err
+        report = strict_json(out)
+        assert report["radius"] == pytest.approx(spread, rel=2e-2)
+        assert report["center"] == pytest.approx(
+            [offset, -offset], abs=2e-2 * spread)
+        assert report["penalty"] == pytest.approx(report["exact_sse"], rel=0.1)
+        for anchor in report["anchors"]:
+            dist = math.hypot(anchor[0] - report["center"][0],
+                              anchor[1] - report["center"][1])
+            assert dist == pytest.approx(report["radius"], rel=1e-9)
+
+    @pytest.mark.parametrize("offset,spread", EXTREME_SCALES)
+    def test_compress(self, capsys, tmp_path, offset, spread):
+        arc = circle_points(af.Circle(offset, offset, spread), 0, math.pi, 16)
+        tail = [(offset - spread, offset - k * spread) for k in (1, 2, 3)]
+        path = tmp_path / "poly.txt"
+        write_points(path, list(map(tuple, arc)) + tail)
+        code, out, err = run(capsys, "compress", str(path),
+                             f"--tol={1e-6 * spread!r}")
+        assert code == 0, err
+        report = strict_json(out)
+        assert (report["arcs"], report["segments"]) == (1, 1)
+        assert report["primitives"][0]["radius"] == pytest.approx(
+            spread, rel=1e-9)
+
 
 class TestCompareCommand:
     def test_deterministic_csv(self, capsys):

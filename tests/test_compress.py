@@ -155,6 +155,12 @@ class TestCompress:
         prim = path.primitives[0]
         assert (prim.circle.cx, prim.circle.cy) == pytest.approx((1, 1), abs=1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_tolerance_that_is_not_finite_and_nonnegative(self, tol):
+        triangle = [(0.0, 0.0), (5.0, 5.0), (10.0, 0.0)]
+        with pytest.raises(ValueError, match="tolerance"):
+            compress(triangle, tol)
+
     def test_zero_tolerance_on_noisy_data_gives_adjacent_segments(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(0, 1, (8, 2))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import arcfit as af
-from arcfit.moments import ORDERS
+from arcfit.moments import DENOMINATOR, ORDERS, scale_exponent
 
 
 def coords(n):
@@ -214,3 +215,162 @@ class TestSegmentsAndWeights:
     def test_centroid(self):
         acc = af.from_points([(0, 0), (2, 4)])
         assert af.centroid(acc) == (1.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# exact sums against an independent fractions.Fraction oracle
+# ---------------------------------------------------------------------------
+
+def signed(lo, hi):
+    return st.floats(lo, hi) | st.floats(-hi, -lo)
+
+
+# zeros, subnormals, ordinary values and both extremes, mixed freely
+mixed = st.one_of(
+    st.just(0.0),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(-1e3, 1e3),
+    signed(1e-301, 1e-299),
+    signed(1e299, 1e301),
+)
+mixed_points = st.lists(st.tuples(mixed, mixed), min_size=1, max_size=6)
+weights = st.one_of(st.just(1.0), st.floats(5e-324, 1e300))
+
+
+def exact(acc):
+    """The accumulator's sums as Fractions, in ORDERS order."""
+    scale = Fraction(2) ** acc.exp / DENOMINATOR
+    return [n * scale for n in acc.sums]
+
+
+def oracle_points(pts, ws=None, dx=0.0, dy=0.0):
+    """sum w * (x+dx)^g * (y+dy)^h over the points, in exact arithmetic."""
+    ws = [1.0] * len(pts) if ws is None else ws
+    fx, fy = Fraction(dx), Fraction(dy)
+    out = [Fraction(0)] * len(ORDERS)
+    for (x, y), w in zip(pts, ws):
+        qx, qy, qw = Fraction(x) + fx, Fraction(y) + fy, Fraction(w)
+        for i, (g, h) in enumerate(ORDERS):
+            out[i] += qw * qx ** g * qy ** h
+    return out
+
+
+def poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def oracle_segment(p0, p1):
+    """Arc-length integral of x^g y^h over the segment: expand the integrand
+    as a polynomial in t on [0, 1] and integrate term by term."""
+    x0, y0 = Fraction(p0[0]), Fraction(p0[1])
+    dx, dy = p1[0] - p0[0], p1[1] - p0[1]   # float differences, as stored
+    length = Fraction(math.hypot(dx, dy))
+    lx, ly = [x0, Fraction(dx)], [y0, Fraction(dy)]
+    out = []
+    for g, h in ORDERS:
+        poly = [Fraction(1)]
+        for _ in range(g):
+            poly = poly_mul(poly, lx)
+        for _ in range(h):
+            poly = poly_mul(poly, ly)
+        out.append(length * sum(c / (j + 1) for j, c in enumerate(poly)))
+    return out
+
+
+def oracle_float(q):
+    """float(q) or the exception type it raises."""
+    try:
+        return float(q)
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+class TestFractionOracle:
+    @given(mixed_points)
+    def test_from_points(self, pts):
+        assert exact(af.from_points(pts)) == oracle_points(pts)
+
+    @given(mixed_points, st.data())
+    def test_weighted_accumulate_point(self, pts, data):
+        ws = data.draw(st.lists(weights, min_size=len(pts),
+                                max_size=len(pts)))
+        acc = af.empty()
+        for p, w in zip(pts, ws):
+            acc = af.accumulate_point(acc, p, w)
+        assert exact(acc) == oracle_points(pts, ws)
+        assert af.from_points(pts, ws) == acc
+
+    @given(st.tuples(mixed, mixed), st.tuples(mixed, mixed), mixed_points)
+    def test_accumulate_segment(self, p0, p1, pts):
+        dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+        if (p0 == p1 or not math.isfinite(dx) or not math.isfinite(dy)
+                or (dx == 0.0 and dy == 0.0)):
+            return
+        base = af.from_points(pts)
+        acc = af.accumulate_segment(base, p0, p1)
+        want = [a + b for a, b in zip(oracle_points(pts),
+                                      oracle_segment(p0, p1))]
+        assert exact(acc) == want
+
+    @given(mixed_points, mixed_points)
+    def test_merge_and_difference(self, pa, pb):
+        a, b = af.from_points(pa), af.from_points(pb)
+        oa, ob = oracle_points(pa), oracle_points(pb)
+        assert exact(af.merge(a, b)) == [x + y for x, y in zip(oa, ob)]
+        assert exact(af.difference(a, b)) == [x - y for x, y in zip(oa, ob)]
+        assert af.difference(af.merge(a, b), b) == a
+
+    @given(mixed_points, mixed, mixed)
+    def test_translate(self, pts, dx, dy):
+        got = af.translate(af.from_points(pts), dx, dy)
+        assert exact(got) == oracle_points(pts, dx=dx, dy=dy)
+
+    @given(mixed_points, st.data())
+    def test_normalized_is_correctly_rounded(self, pts, data):
+        ws = data.draw(st.lists(weights, min_size=len(pts),
+                                max_size=len(pts)))
+        acc = af.from_points(pts, ws)
+        sums = oracle_points(pts, ws)
+        want = [oracle_float(s / sums[0]) for s in sums]
+        if any(isinstance(v, type) for v in want):
+            with pytest.raises(OverflowError):
+                af.normalized(acc)
+        else:
+            assert af.normalized(acc).values() == want
+        assert outcome(lambda: acc.weight) == oracle_float(sums[0])
+        for i, (g, h) in enumerate(ORDERS):
+            assert outcome(lambda: acc.s(g, h)) == oracle_float(sums[i])
+
+    @given(mixed_points, st.integers(-1100, 1100))
+    def test_scaled_normalization(self, pts, k):
+        acc = af.from_points(pts)
+        sums = oracle_points(pts)
+        want = [oracle_float(s / sums[0] / Fraction(2) ** (k * (g + h)))
+                for s, (g, h) in zip(sums, ORDERS)]
+        if any(isinstance(v, type) for v in want):
+            with pytest.raises(OverflowError):
+                af.normalized(acc, k)
+        else:
+            assert af.normalized(acc, k).values() == want
+
+    def test_scale_exponent_only_away_from_unit_scale(self):
+        unit = af.from_points([(1.0, 2.0), (-3.0, 0.5), (0.25, -1.0)])
+        assert scale_exponent(unit) == 0
+        assert scale_exponent(af.from_points([(1e19, 0.0), (0.0, 1e19)])) == 0
+        for scale in (1e-150, 1e150):
+            acc = af.from_points([(scale, 2 * scale), (-3 * scale, 0.5 * scale)])
+            nm = af.normalized(acc, scale_exponent(acc))
+            assert 0.5 < math.sqrt(nm.m20 + nm.m02) < 2.0
+            assert all(math.isfinite(v) and (v == 0.0 or abs(v) > 1e-3)
+                       for v in nm.values())
