@@ -2,7 +2,7 @@
 seeded estimator comparison.
 
 Exit codes: 0 success, 2 unreadable/malformed input or bad flags, 3 a fit
-reported degenerate geometry.
+reported degenerate geometry or a result outside the float range.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .compress import compress
-from .errors import FitError
+from .errors import FitError, OutOfRange
 from .fit import free_fit, kasa_fit, one_point_fit, penalty, two_point_fit
 from .moments import from_points
 from .pointfile import read_points
@@ -71,13 +71,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(obj) -> str:
+    """Strict JSON text of obj; a NaN or infinity in it is a result outside
+    the float range."""
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError:
+        raise OutOfRange("result outside the float range") from None
+
+
 def _emit_kv(pairs: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(pairs))
+        print(_json(pairs))
     else:
+        lines = [f"{key},{_json(value)}" for key, value in pairs.items()]
         print("key,value")
-        for key, value in pairs.items():
-            print(f"{key},{json.dumps(value)}")
+        print("\n".join(lines))
 
 
 def _cmd_fit(args) -> int:
@@ -120,8 +129,9 @@ def _cmd_compress(args) -> int:
     report = path.to_dict(polyline)
     report["n_points"] = len(polyline)
     report["tol"] = args.tol
+    text = _json(report)  # also refuses non-finite numbers for the CSV form
     if args.format == "json":
-        print(json.dumps(report))
+        print(text)
     else:
         print("type,i,j,ssd,exact_ssd,cx,cy,radius,orientation")
         for rec in report["primitives"]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fit as _fit
-from .errors import NoArcExists
+from .errors import NoArcExists, OutOfRange
 from .fit import Circle, two_point_fit
 from .moments import MomentAccumulator, accumulate_point, difference, empty
 from .reference import Arc, check_tolerance_zigzag, exact_sse
@@ -172,7 +172,7 @@ def candidate_segment(polyline, i: int, j: int, tol: float,
         off = rel - tpar[:, None] * ab
         d2 = np.sum(off * off, axis=1)
     max_dev = math.sqrt(float(np.max(d2)))
-    if max_dev > tol:
+    if not max_dev <= tol:  # a NaN from overflowed distances fails too
         return None
     ssd = float(np.sum(d2))
     return penalty, ssd, Segment(i, j, ssd)
@@ -193,7 +193,7 @@ def fit_arc_candidate(polyline, prefix: PrefixMoments, i: int, j: int,
     interior = prefix.range_moments(i + 1, j)
     try:
         circle = two_point_fit(interior, p_i, p_j)
-    except NoArcExists:
+    except (NoArcExists, OutOfRange):
         return None
     ssd = _fit.penalty(interior, circle)
     return penalty, ssd, circle
@@ -280,6 +280,8 @@ def compress(polyline, tol: float, *, segment_penalty: float = SEGMENT_PENALTY,
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    # One conversion: every window below is then a view, not a copy.
+    polyline = np.asarray(polyline, dtype=float)
     n = len(polyline)
     prefix = build_prefix(polyline)
     arc_pairs = (_seeded_arc_pairs(polyline, prefix, tol, arc_penalty)

@@ -48,49 +48,18 @@ class SearchState:
 
 
 def eigen_sym(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a small symmetric matrix by cyclic Jacobi rotations.
+    """Eigenpairs of a small symmetric matrix (numpy ``eigh`` of its
+    symmetric part).
 
     Returns eigenvalues in ascending order and the matching orthonormal
-    eigenvectors as columns. Dependency-free and accurate at the 3x3 sizes
-    used here.
+    eigenvectors as columns.
     """
     a = np.array(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    v = np.eye(n)
-    tol = 1e-14 * max(np.linalg.norm(a), 1e-300)
-
-    for _ in range(15):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol / (2 * n):
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = _sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def _sign(x: float) -> float:
-    return 1.0 if x >= 0.0 else -1.0
+    return np.linalg.eigh(0.5 * (a + a.T))
 
 
 def _default_step(x: np.ndarray, direction: np.ndarray, t: float):

@@ -19,3 +19,7 @@ class NoArcExists(FitError):
 
 class NonConvergence(FitError):
     """Iterative geometric fit failed to converge within its iteration budget."""
+
+
+class OutOfRange(FitError):
+    """A result lies outside the float range."""

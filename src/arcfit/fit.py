@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dirsearch
-from .errors import CollinearOrDegenerate, DegeneratePencil, NoArcExists
+from .errors import (CollinearOrDegenerate, DegeneratePencil, NoArcExists,
+                     OutOfRange)
 from .moments import (MomentAccumulator, NormalizedMoments, centroid, normalized,
                       scale_exponent, translate)
 from .quadratio import QuadRatio, minimize_ratio
@@ -94,10 +95,6 @@ class Estimate:
     def __post_init__(self):
         if not (self.re > 0.0 and math.isfinite(self.re)):
             raise ValueError(f"estimate radius must be positive, got {self.re}")
-
-    @classmethod
-    def from_circle(cls, c: Circle) -> "Estimate":
-        return cls(c.cx, c.cy, c.r)
 
     def apply_delta(self, dx: float, dy: float, dr: float) -> "Estimate":
         r2 = self.re * self.re + dx * dx + dy * dy + dr
@@ -174,6 +171,14 @@ class ChordLine:
     def point_at(self, t: float) -> tuple[float, float]:
         u = math.ldexp(t, self.exp)
         return self.px + self.alpha * u, self.py + self.beta * u
+
+
+def _ldexp_inf(x: float, k: int) -> float:
+    """x * 2**k, or an infinity of x's sign when that leaves the float range."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _as_normalized(m) -> NormalizedMoments:
@@ -352,11 +357,12 @@ def free_fit(m, sweeps: int = 1, pre_center: bool = True, tol: float = 0.0) -> C
 
 def penalty(m, c: Circle) -> float:
     """O(1) approximation of the sum of squared radial deviations from the
-    circle: total weight times the objective value at the circle."""
+    circle: total weight times the objective value at the circle. Infinite
+    when that sum is beyond the float range."""
     nm, _, _, k = _shifted_frame(m, (c.cx, c.cy), True)
     r = math.ldexp(c.r, -k)
     coeffs = fit_coeffs(nm, Estimate(0.0, 0.0, r))
-    return math.ldexp(nm.w * max(coeffs.v, 0.0) / (4.0 * r * r), 2 * k)
+    return _ldexp_inf(nm.w * max(coeffs.v, 0.0) / (4.0 * r * r), 2 * k)
 
 
 def one_point_matrices(m, anchor) -> AnchoredQuadForms:
@@ -377,25 +383,6 @@ def one_point_matrices(m, anchor) -> AnchoredQuadForms:
     a = np.array([[axx, axy, ax1], [axy, ayy, ay1], [ax1, ay1, a11]])
     b = np.array([[1.0, 0.0, -xa], [0.0, 1.0, -ya], [-xa, -ya, rho2]])
     return AnchoredQuadForms(a=a, b=b, anchor=(xa, ya))
-
-
-def _eig2(sxx: float, sxy: float, syy: float):
-    """Eigenpairs of a symmetric 2x2, ascending."""
-    half = 0.5 * (sxx + syy)
-    disc = math.hypot(0.5 * (sxx - syy), sxy)
-    pairs = []
-    for lam in (half - disc, half + disc):
-        v1 = (sxy, lam - sxx)
-        v2 = (lam - syy, sxy)
-        vx, vy = v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
-        norm = math.hypot(vx, vy)
-        if norm == 0.0:
-            vx, vy, norm = 1.0, 0.0, 1.0
-        pairs.append((lam, (vx / norm, vy / norm)))
-    if pairs[0][1] == pairs[1][1]:
-        # isotropic: any orthonormal pair works
-        pairs = [(pairs[0][0], (1.0, 0.0)), (pairs[1][0], (0.0, 1.0))]
-    return pairs
 
 
 def one_point_fit(m, anchor) -> Circle:
@@ -422,7 +409,8 @@ def one_point_fit(m, anchor) -> Circle:
     syy = a[1, 1] - a[1, 2] * a[1, 2] / a11
     min_s = 1.0 / (_MAX_CENTER_SCALES * math.sqrt(spread2))
 
-    for _, (hx, hy) in _eig2(sxx, sxy, syy):
+    _, vecs = dirsearch.eigen_sym([[sxx, sxy], [sxy, syy]])
+    for hx, hy in vecs.T.tolist():
         s = -(a[0, 2] * hx + a[1, 2] * hy) / a11
         if abs(s) <= min_s:
             continue
@@ -529,17 +517,20 @@ def two_point_ratio(m, p1, p2) -> tuple[QuadRatio, ChordLine]:
     """
     x1, y1 = float(p1[0]), float(p1[1])
     x2, y2 = float(p2[0]), float(p2[1])
-    if x1 == x2 and y1 == y2:
+    # Halve before adding, so that neither the chord nor the midpoint overflows.
+    hx, hy = 0.5 * x2 - 0.5 * x1, 0.5 * y2 - 0.5 * y1
+    h = math.hypot(hx, hy)
+    if h == 0.0:
         raise ValueError("anchor points coincide")
-    chord = math.hypot(x2 - x1, y2 - y1)
-    h = 0.5 * chord
-    alpha = -(y2 - y1) / chord
-    beta = (x2 - x1) / chord
-    mx, my = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+    alpha = -hy / h
+    beta = hx / h
+    mx, my = 0.5 * x1 + 0.5 * x2, 0.5 * y1 + 0.5 * y2
 
     nm, _, _, k = _shifted_frame(m, (mx, my), True)
-    hs = math.ldexp(h, -k)
+    hs = _ldexp_inf(h, -k)
     h2 = hs * hs
+    if h2 == math.inf:
+        raise OutOfRange("chord outside the float range at the data's scale")
     s4 = nm.m40 + 2.0 * nm.m22 + nm.m04
     s2 = nm.m20 + nm.m02
     a0 = s4 - 2.0 * h2 * s2 + h2 * h2

@@ -93,10 +93,6 @@ class MomentAccumulator:
     def weight(self) -> float:
         return _to_float(self.sums[0], self.exp)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.sums[0] == 0
-
     def s(self, g: int, h: int) -> float:
         """Sum S[g,h] as a float."""
         return _to_float(self.sums[_POS[g, h]], self.exp)

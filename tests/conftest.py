@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import arcfit as af
+from arcfit.fit import CircleObjective
 from arcfit.scenario import SimScenario, trial_points
 
 settings.register_profile(
@@ -20,7 +21,7 @@ def free_fit_with_state(acc, sweeps, tol):
     cx, cy = af.centroid(acc)
     nm = af.normalized(af.translate(acc, -cx, -cy))
     start = af.kasa_fit(nm, pre_center=False)
-    obj = af.CircleObjective(nm)
+    obj = CircleObjective(nm)
     x, state = af.minimize(obj, [start.cx, start.cy, start.r],
                            sweeps=sweeps, tol=tol, return_state=True)
     return af.Circle(x[0] + cx, x[1] + cy, x[2]), state

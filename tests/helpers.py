@@ -295,6 +295,45 @@ def rotate(pts, angle, pivot=(0.0, 0.0)):
 
 
 # ---------------------------------------------------------------------------
+# closed-form free fit (Pratt 1987)
+# ---------------------------------------------------------------------------
+
+# Pratt's constraint: a'Na = B^2 + C^2 - 4AD for a = (A, B, C, D).
+PRATT_N = np.array([[0.0, 0.0, 0.0, -2.0],
+                    [0.0, 1.0, 0.0, 0.0],
+                    [0.0, 0.0, 1.0, 0.0],
+                    [-2.0, 0.0, 0.0, 0.0]])
+
+
+def pratt_fit(pts) -> tuple[float, float, float]:
+    """(cx, cy, r) of the circle A(x^2+y^2) + Bx + Cy + D = 0 minimizing
+    a'Ma / a'Na, with M the mean of z z' over z = (x^2+y^2, x, y, 1).
+
+    For A = 1 that ratio is the mean of (d^2 - r^2)^2 / (4 r^2), the free
+    fit's objective, so this is an oracle for its global minimum. The
+    minimizer is the eigenvector of the pencil M a = eta N a with the
+    smallest nonnegative eta. With M = LL' the pencil becomes the symmetric
+    problem (L^-1 N L^-T) b = b / eta for b = L'a, whose largest positive
+    eigenvalue gives that eta. Works in centroid coordinates scaled to unit
+    rms; M must be positive definite (noisy, non-collinear data).
+    """
+    pts = np.asarray(pts, dtype=float)
+    mean = pts.mean(axis=0)
+    q = pts - mean
+    scale = math.sqrt(float(np.mean(np.sum(q * q, axis=1))))
+    q = q / scale
+    z = np.column_stack((np.sum(q * q, axis=1), q[:, 0], q[:, 1],
+                         np.ones(len(q))))
+    low = np.linalg.cholesky(z.T @ z / len(z))
+    low_inv = np.linalg.inv(low)
+    mu, vecs = np.linalg.eigh(low_inv @ PRATT_N @ low_inv.T)
+    a, b, c, d = np.linalg.solve(low.T, vecs[:, np.argmax(mu)])
+    r = math.sqrt(b * b + c * c - 4.0 * a * d) / (2.0 * abs(a))
+    return (float(mean[0] - scale * b / (2.0 * a)),
+            float(mean[1] - scale * c / (2.0 * a)), scale * r)
+
+
+# ---------------------------------------------------------------------------
 # brute-force compression oracle
 # ---------------------------------------------------------------------------
 

@@ -209,6 +209,70 @@ class TestExtremeScales:
             spread, rel=1e-9)
 
 
+# Inputs whose fits overflow a float: squared deviations of these points
+# from any circle near them are beyond the float range.
+OFFSET_ARC = circle_points(af.Circle(1e200, 1e200, 1e185), 0.3, 2.4, 7)
+HUGE_ARC = circle_points(af.Circle(0.0, 0.0, 1e308), 0.0, math.pi, 7)
+MIXED_SCALES = [(1e300, 1e300), (-1e300, 1e300), (1e-300, -1e-300),
+                (-1e-300, 1e-300), (1e300, -1e300), (-1e300, -1e-300),
+                (1e-300, 1e300)]
+HUGE_SQUARE = [(1e308, 1e308), (-1e308, 1e308), (-1e308, -1e308),
+               (1e308, -1e308), (1e308, 1e308)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOutOfFloatRange:
+    """Beyond the float range a command either exits 0 with finite JSON or
+    exits 3 with a message: no traceback and no NaN or Infinity on stdout.
+    (numpy warns about the overflow on the way.)"""
+
+    def run_points(self, capsys, tmp_path, pts, *argv):
+        path = tmp_path / "pts.txt"
+        write_points(path, pts)
+        return run(capsys, argv[0], str(path), *argv[1:])
+
+    def assert_out_of_range(self, capsys, tmp_path, pts, *argv):
+        code, out, err = self.run_points(capsys, tmp_path, pts, *argv)
+        assert code == 3, (out, err)
+        assert out == ""
+        assert "result outside the float range" in err
+
+    def test_fit_offset_arc(self, capsys, tmp_path):
+        self.assert_out_of_range(capsys, tmp_path, OFFSET_ARC, "fit")
+
+    def test_compress_offset_arc(self, capsys, tmp_path):
+        # Coordinate rounding at 1e200 is about 1e184, far above the
+        # tolerance, so no primitive longer than one step fits.
+        code, out, err = self.run_points(capsys, tmp_path, OFFSET_ARC,
+                                         "compress", "--tol=1e179")
+        assert code == 0, err
+        report = strict_json(out)
+        assert (report["segments"], report["arcs"]) == (6, 0)
+
+    def test_compress_huge_arc(self, capsys, tmp_path):
+        self.assert_out_of_range(capsys, tmp_path, HUGE_ARC,
+                                 "compress", "--tol=1e302")
+
+    def test_fit_huge_arc_through_corner(self, capsys, tmp_path):
+        self.assert_out_of_range(capsys, tmp_path, HUGE_ARC, "fit",
+                                 "--through=1e308,1e308")
+
+    def test_two_point_fit_mixed_scales(self, capsys, tmp_path):
+        self.assert_out_of_range(capsys, tmp_path, MIXED_SCALES, "fit",
+                                 "--through=0,0", "--through=1,0")
+
+    def test_compress_mixed_scales(self, capsys, tmp_path):
+        code, out, err = self.run_points(capsys, tmp_path, MIXED_SCALES,
+                                         "compress", "--tol=1")
+        assert code == 0, err
+        assert strict_json(out)["ssd"] == 0.0
+
+    def test_two_point_fit_chord_beyond_float_range(self, capsys, tmp_path):
+        self.assert_out_of_range(capsys, tmp_path, HUGE_SQUARE, "fit",
+                                 "--through=1e308,1e308",
+                                 "--through=-1e308,1e308")
+
+
 class TestCompareCommand:
     def test_deterministic_csv(self, capsys):
         args = ("compare", "--trials", "2", "--points", "120", "--seed", "11")

@@ -5,7 +5,7 @@ import pytest
 
 import arcfit as af
 from arcfit.errors import DegeneratePencil, NoArcExists
-from arcfit.fit import AnchoredObjective
+from arcfit.fit import AnchoredObjective, one_point_matrices
 from arcfit.quadratio import minimize_ratio, ratio_value
 
 from helpers import (circle_points, noisy_arc, pp_anchored, pp_two_point,
@@ -18,7 +18,7 @@ class TestOnePointMatrices:
         nm = af.normalized(af.from_points(rng.normal(0, 2, (10, 2))))
         for _ in range(50):
             xa, ya = rng.uniform(-3, 3, 2)
-            forms = af.one_point_matrices(nm, (xa, ya))
+            forms = one_point_matrices(nm, (xa, ya))
             cx, cy = rng.uniform(-4, 4, 2)
             h = np.array([cx, cy, 1.0])
             want = (cx - xa) ** 2 + (cy - ya) ** 2
@@ -26,7 +26,7 @@ class TestOnePointMatrices:
 
     def test_b_null_vector_is_anchor(self):
         nm = af.normalized(af.from_points([(0, 0), (1, 2), (3, -1)]))
-        forms = af.one_point_matrices(nm, (1.5, -0.5))
+        forms = one_point_matrices(nm, (1.5, -0.5))
         h = np.array([1.5, -0.5, 1.0])
         assert h @ forms.b @ h == pytest.approx(0.0, abs=1e-14)
         assert np.linalg.matrix_rank(forms.b) == 2
@@ -36,7 +36,7 @@ class TestOnePointMatrices:
         pts = rng.normal(0, 2, (25, 2)) + [1, 1]
         nm = af.normalized(af.from_points(pts))
         anchor = (0.5, -0.25)
-        forms = af.one_point_matrices(nm, anchor)
+        forms = one_point_matrices(nm, anchor)
         for _ in range(50):
             cx, cy = rng.uniform(-4, 4, 2)
             scale = rng.uniform(0.5, 2.0)
@@ -47,7 +47,7 @@ class TestOnePointMatrices:
     def test_a_is_psd(self):
         rng = np.random.default_rng(2)
         nm = af.normalized(af.from_points(rng.normal(0, 3, (12, 2))))
-        forms = af.one_point_matrices(nm, (2.0, 1.0))
+        forms = one_point_matrices(nm, (2.0, 1.0))
         w = np.linalg.eigvalsh(forms.a)
         assert w.min() >= -1e-9 * max(1.0, w.max())
 
@@ -91,7 +91,7 @@ class TestOnePointFit:
             anchor = tuple(pts[3])
             nm = af.normalized(af.from_points(pts))
             got = af.one_point_fit(nm, anchor)
-            forms = af.one_point_matrices(nm, anchor)
+            forms = one_point_matrices(nm, anchor)
             h = np.array([got.cx, got.cy, 1.0])
             lam = (h @ forms.a @ h) / (h @ forms.b @ h)
             pencil = forms.a - lam * forms.b

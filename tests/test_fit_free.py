@@ -10,7 +10,8 @@ from arcfit.fit import Estimate, d_proxy, fit_coeffs, line_ratio
 from arcfit.quadratio import ratio_value
 from arcfit.scenario import SimScenario, trial_points
 
-from helpers import circle_points, noisy_arc, pp_free, random_circle, rotate
+from helpers import (circle_points, noisy_arc, pp_free, pratt_fit,
+                     random_circle, rotate)
 
 
 class TestKasa:
@@ -244,6 +245,24 @@ class TestFreeFit:
             want_center = rotate([[base.cx, base.cy]], angle)[0] + shift
             assert (got.cx, got.cy) == pytest.approx(tuple(want_center), abs=1e-9)
             assert got.r == pytest.approx(base.r, abs=1e-9)
+
+
+class TestPrattOracle:
+    """The converged free fit is the global minimum: it matches the
+    closed-form Pratt pencil, an independent numpy solver on raw points."""
+
+    @pytest.mark.parametrize("span_deg", [20.0, 72.0, 180.0])
+    def test_converged_fit_matches_pencil(self, span_deg):
+        rng = np.random.default_rng(int(span_deg))
+        worst = 0.0
+        for _ in range(40):
+            pts = noisy_arc(rng, random_circle(rng), math.radians(span_deg),
+                            100, 0.1)
+            got = af.free_fit(af.from_points(pts), sweeps=20, tol=1e-14)
+            cx, cy, r = pratt_fit(pts)
+            gap = max(abs(got.cx - cx), abs(got.cy - cy), abs(got.r - r)) / r
+            worst = max(worst, gap)
+        assert worst <= 1e-8
 
 
 class TestPenalty:
