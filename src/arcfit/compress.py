@@ -5,8 +5,9 @@ two source vertices, segments cost 2 and arcs cost 3 (configurable), and the
 optimum minimizes (total cost, total squared deviation) lexicographically.
 Arc candidates are fitted in O(1) from prefix-moment differences; only the
 tolerance / ordering validation of a candidate looks at the points between
-its endpoints. Adjacent-vertex segments are always accepted, so a solution
-always exists.
+its endpoints, and only once exact O(1) bounds have not shown that the
+candidate cannot pass or cannot win. Adjacent-vertex segments are always
+accepted, so a solution always exists.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import numpy as np
 from . import fit as _fit
 from .errors import NoArcExists, OutOfRange
 from .fit import Circle, two_point_fit
-from .moments import MomentAccumulator, accumulate_point, difference, empty
-from .reference import Arc, check_tolerance_zigzag, exact_sse
+from .moments import (MomentAccumulator, _grid, _grid_ints, _scaled_div,
+                      accumulate_point, difference, empty)
+from .reference import _ENDPOINT_RTOL, Arc, check_tolerance_zigzag, exact_sse
 
 __all__ = [
     "PrefixMoments",
@@ -199,6 +201,74 @@ def fit_arc_candidate(polyline, prefix: PrefixMoments, i: int, j: int,
     return penalty, ssd, circle
 
 
+def _arc_cannot_pass(ssd: float, m: int, r: float, tol: float) -> bool:
+    """True when an arc fit of radius r whose O(1) ssd over its m interior
+    vertices is `ssd` cannot pass validation at tol.
+
+    Validation bounds each interior vertex's arc_deviation by tol, and
+    arc_deviation >= |d - r| (d the vertex's distance from the center, up to
+    the endpoint gap that Arc.from_endpoints allows). t is tol plus that gap
+    plus validation's own float rounding. Each vertex contributes
+    (d^2 - r^2)^2 / (4 r^2) = (d - r)^2 ((d + r) / (2r))^2 <= t^2 (1 + t/(2r))^2
+    to the ssd; the last factor covers the ssd's and the bound's rounding."""
+    t = tol + _ENDPOINT_RTOL * r * (1.0 + 1e-6) + 2.0 ** -50 * (r + tol)
+    return ssd > m * t * t * (1.0 + t / (2.0 * r)) ** 2 * (1.0 + 1e-12)
+
+
+class _LineSums:
+    """Exact prefix sums of order <= 2 over the vertices, as integers on
+    one power-of-two grid: an O(1) necessary condition for segments."""
+
+    def __init__(self, polyline: np.ndarray):
+        self.grid = _grid(polyline.ravel())
+        self.xs = xs = _grid_ints(polyline[:, 0], self.grid)
+        self.ys = ys = _grid_ints(polyline[:, 1], self.grid)
+        sums = [(0, 0, 0, 0, 0)]
+        for x, y in zip(xs, ys):
+            sx, sy, sxx, sxy, syy = sums[-1]
+            sums.append((sx + x, sy + y, sxx + x * x, sxy + x * y, syy + y * y))
+        self.sums = sums
+
+    def line_ssd(self, i: int, j: int) -> tuple[float, float, float]:
+        """Exact sums over the interior vertices p of the window (i, j),
+        each rounded once: squared distances to the line through a = vertex
+        i and b = vertex j (to a when a == b), |b - a|^2, and |p - a|^2."""
+        m = j - i - 1
+        sx, sy, sxx, sxy, syy = (b - a for a, b in
+                                 zip(self.sums[i + 1], self.sums[j]))
+        ax, ay = self.xs[i], self.ys[i]
+        ux, uy = self.xs[j] - ax, self.ys[j] - ay
+        # second moments of the interior about a
+        cxx = sxx - 2 * ax * sx + ax * ax * m
+        cxy = sxy - ax * sy - ay * sx + ax * ay * m
+        cyy = syy - 2 * ay * sy + ay * ay * m
+        len2 = ux * ux + uy * uy
+        spread = cxx + cyy
+        if len2:
+            cross = uy * uy * cxx - 2 * ux * uy * cxy + ux * ux * cyy
+            line = _scaled_div(cross, len2, 2 * self.grid)
+        else:
+            line = _scaled_div(spread, 1, 2 * self.grid)
+        return (line, _scaled_div(len2, 1, 2 * self.grid),
+                _scaled_div(spread, 1, 2 * self.grid))
+
+    def segment_cannot_pass(self, i: int, j: int, tol: float) -> bool:
+        """True when the segment from vertex i to j cannot pass
+        candidate_segment at tol.
+
+        A vertex's distance to the segment is at least its distance to the
+        line through the endpoints, so an accepted segment has at most
+        m * t^2 as the sum of squared line distances of its m interior
+        vertices. t is tol plus the validation's float rounding, which
+        scales with |b - a| and |p - a|."""
+        m = j - i - 1
+        if m <= 0:
+            return False
+        line, len2, spread = self.line_ssd(i, j)
+        t = tol + 2.0 ** -48 * (math.sqrt(len2) + math.sqrt(spread))
+        return line > m * t * t
+
+
 def _orient_arc(circle: Circle, window: np.ndarray) -> Arc | None:
     """Arc between the window's endpoints whose sector covers the majority
     of the interior vertices."""
@@ -218,12 +288,15 @@ def _orient_arc(circle: Circle, window: np.ndarray) -> Arc | None:
 def candidate_arc(polyline, prefix: PrefixMoments, i: int, j: int, tol: float,
                   penalty: float = ARC_PENALTY):
     """Arc candidate over window (i, j): O(1) fit via prefix moments, then the
-    O(window) tolerance and ordering validation. Needs at least two interior
-    vertices; a cheaper pair of segments always beats an arc below that."""
+    O(window) tolerance and ordering validation unless the fit's ssd already
+    rules the arc out. Needs at least two interior vertices; a cheaper pair
+    of segments always beats an arc below that."""
     fitted = fit_arc_candidate(polyline, prefix, i, j, penalty)
     if fitted is None:
         return None
     penalty, ssd, circle = fitted
+    if _arc_cannot_pass(ssd, j - i - 1, circle.r, tol):
+        return None
     window = np.asarray(polyline[i:j + 1], dtype=float)
     arc = _orient_arc(circle, window)
     if arc is None:
@@ -287,25 +360,41 @@ def compress(polyline, tol: float, *, segment_penalty: float = SEGMENT_PENALTY,
     arc_pairs = (_seeded_arc_pairs(polyline, prefix, tol, arc_penalty)
                  if prefilter else None)
 
-    inf = math.inf
-    best_pen = [inf] * n
+    lines = _LineSums(polyline)
+
+    best_pen = [math.inf] * n
     best_ssd = [0.0] * n
     back = [None] * n
     best_pen[0] = 0.0
 
+    def offer(i, j, cand):
+        if cand is None:
+            return
+        pen, ssd, prim = cand
+        tot_pen = best_pen[i] + pen
+        tot_ssd = best_ssd[i] + ssd
+        if (tot_pen, tot_ssd) < (best_pen[j], best_ssd[j]):
+            best_pen[j] = tot_pen
+            best_ssd[j] = tot_ssd
+            back[j] = prim
+
     for j in range(1, n):
+        # The adjacent segment (j-1, j) is always accepted, so best_pen[j]
+        # ends at most at cap. A candidate whose total penalty exceeds cap,
+        # or the best found so far, cannot win: skip it before any work.
+        # The test is strict and i keeps its order, so ties resolve as in a
+        # search without it. An unreachable i (infinite penalty) never passes.
+        cap = best_pen[j - 1] + segment_penalty
         for i in range(j):
-            if not math.isfinite(best_pen[i]):
-                continue
-            for cand in _candidates(polyline, prefix, i, j, tol,
-                                    segment_penalty, arc_penalty, arc_pairs):
-                pen, ssd, prim = cand
-                tot_pen = best_pen[i] + pen
-                tot_ssd = best_ssd[i] + ssd
-                if (tot_pen, tot_ssd) < (best_pen[j], best_ssd[j]):
-                    best_pen[j] = tot_pen
-                    best_ssd[j] = tot_ssd
-                    back[j] = prim
+            if (best_pen[i] + segment_penalty <= min(cap, best_pen[j])
+                    and not lines.segment_cannot_pass(i, j, tol)):
+                offer(i, j, candidate_segment(polyline, i, j, tol,
+                                              segment_penalty))
+            if (j - i >= 3
+                    and best_pen[i] + arc_penalty <= min(cap, best_pen[j])
+                    and (arc_pairs is None or (i, j) in arc_pairs)):
+                offer(i, j, candidate_arc(polyline, prefix, i, j, tol,
+                                          arc_penalty))
 
     prims = []
     k = n - 1
@@ -329,14 +418,3 @@ def compress(polyline, tol: float, *, segment_penalty: float = SEGMENT_PENALTY,
     return CompressedPath(primitives=final, total_penalty=best_pen[n - 1],
                           total_ssd=best_ssd[n - 1],
                           total_exact_ssd=total_exact)
-
-
-def _candidates(polyline, prefix, i, j, tol, segment_penalty, arc_penalty,
-                arc_pairs):
-    seg = candidate_segment(polyline, i, j, tol, segment_penalty)
-    if seg is not None:
-        yield seg
-    if j - i >= 3 and (arc_pairs is None or (i, j) in arc_pairs):
-        arc = candidate_arc(polyline, prefix, i, j, tol, arc_penalty)
-        if arc is not None:
-            yield arc

@@ -13,7 +13,8 @@ Objectives provide ``value(x)``, ``hessian_proxy(x)`` and
 ``line_ratio(x, direction)``, and may provide ``apply_step(x, direction, t)``
 when moving along a direction is not a plain vector addition (the circle
 fit updates its radius through a square root). ``apply_step`` may return
-None to veto a step.
+None to veto a step; a line whose ratio has a numerator that is negative
+beyond round-off is skipped the same way.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .quadratio import QuadRatio, minimize_ratio
+from .quadratio import QuadRatio, _Inadmissible, minimize_ratio
 
 __all__ = ["RatioObjective", "SearchState", "eigen_sym", "minimize"]
 
@@ -87,7 +88,12 @@ def minimize(obj, x0, sweeps: int = 1, tol: float = 0.0,
         _, vecs = eigen_sym(obj.hessian_proxy(x))
         for k in range(vecs.shape[1]):
             direction = vecs[:, k]
-            ratio = obj.line_ratio(x, direction)
+            try:
+                ratio = obj.line_ratio(x, direction)
+            except _Inadmissible:
+                # rounding left this line's numerator negative somewhere:
+                # no trustworthy step along it
+                continue
             best = minimize_ratio(ratio)
             if best is None:
                 continue

@@ -32,7 +32,8 @@ import numpy as np
 from . import dirsearch
 from .errors import (CollinearOrDegenerate, DegeneratePencil, NoArcExists,
                      OutOfRange)
-from .moments import (MomentAccumulator, NormalizedMoments, centroid, normalized,
+from .moments import (DENOMINATOR, MomentAccumulator, NormalizedMoments,
+                      _on_grid, _scaled_div, centroid, normalized,
                       scale_exponent, translate)
 from .quadratio import QuadRatio, minimize_ratio
 
@@ -179,6 +180,14 @@ def _ldexp_inf(x: float, k: int) -> float:
         return math.ldexp(x, k)
     except OverflowError:
         return math.copysign(math.inf, x)
+
+
+def _weight(acc: MomentAccumulator) -> int:
+    """The accumulator's weight integer; the empty accumulator is rejected
+    as in normalized()."""
+    if acc.sums[0] <= 0:
+        raise ValueError("cannot normalize an accumulator with zero weight")
+    return acc.sums[0]
 
 
 def _as_normalized(m) -> NormalizedMoments:
@@ -358,11 +367,41 @@ def free_fit(m, sweeps: int = 1, pre_center: bool = True, tol: float = 0.0) -> C
 def penalty(m, c: Circle) -> float:
     """O(1) approximation of the sum of squared radial deviations from the
     circle: total weight times the objective value at the circle. Infinite
-    when that sum is beyond the float range."""
+    when that sum is beyond the float range.
+
+    Given an accumulator, the value is computed exactly from its integer
+    sums, with the circle's coordinates taken as the exact floats they are,
+    and rounded once."""
+    if isinstance(m, MomentAccumulator):
+        return _exact_penalty(m, c)
     nm, _, _, k = _shifted_frame(m, (c.cx, c.cy), True)
     r = math.ldexp(c.r, -k)
     coeffs = fit_coeffs(nm, Estimate(0.0, 0.0, r))
     return _ldexp_inf(nm.w * max(coeffs.v, 0.0) / (4.0 * r * r), 2 * k)
+
+
+def _exact_penalty(acc: MomentAccumulator, c: Circle) -> float:
+    """sum w * (|p - c|^2 - r^2)^2 / (4 r^2) over the accumulated points.
+
+    With the center and radius on one grid, (cx, cy, r) = (x, y, r) * 2**e,
+    and K = x^2 + y^2 - r^2, the sum expands into the power sums (z stands
+    for x^2 + y^2) as
+    S[z^2] - 4(x S[zx] + y S[zy]) + 2K S[z] + 4(x^2 S20 + 2xy S11 + y^2 S02)
+    - 4K (x S10 + y S01) + K^2 S00, evaluated in integers."""
+    _weight(acc)
+    (x, y, r), e = _on_grid(c.cx, c.cy, c.r)
+    sh = -e
+    n = acc.sums
+    k = x * x + y * y - r * r
+    t = ((n[10] + 2 * n[12] + n[14]) << sh) - 4 * (x * (n[6] + n[8])
+                                                   + y * (n[7] + n[9]))
+    t = (t << sh) + 2 * k * (n[3] + n[5]) + 4 * (
+        x * x * n[3] + 2 * x * y * n[4] + y * y * n[5])
+    t = (t << sh) - 4 * k * (x * n[1] + y * n[2])
+    t = (t << sh) + k * k * n[0]
+    # sums carry 2**exp / DENOMINATOR, the grid 2**(4e), and 4 r^2 is
+    # 4 * r^2 * 2**(2e)
+    return _scaled_div(t, DENOMINATOR * r * r, acc.exp + 2 * e - 2)
 
 
 def one_point_matrices(m, anchor) -> AnchoredQuadForms:
@@ -393,7 +432,8 @@ def one_point_fit(m, anchor) -> Circle:
     complement of A's homogeneous block. The smallest eigenvalue whose
     eigenvector yields a finite center is the global minimum; the returned
     radius is the distance from that center to the anchor, so the anchor
-    lies on the circle by construction.
+    lies on the circle by construction. Raises DegeneratePencil when no
+    eigenvector gives a center within _MAX_CENTER_SCALES data scales.
     """
     xa, ya = float(anchor[0]), float(anchor[1])
     nm, _, _, k = _shifted_frame(m, (xa, ya), True)
@@ -419,17 +459,9 @@ def one_point_fit(m, anchor) -> Circle:
         # radius from the stored center so the anchor residual rechecks to 0
         return Circle(gx, gy, math.hypot(gx - xa, gy - ya))
 
-    # No eigenvector maps to a finite center: fall back to the constrained
-    # iterative refinement from a projected algebraic start.
-    try:
-        start = kasa_fit(m)
-    except CollinearOrDegenerate as exc:
-        raise DegeneratePencil(
-            "no admissible pencil eigenvector and no algebraic start") from exc
-    r = math.hypot(start.cx - xa, start.cy - ya)
-    if r <= 0.0:
-        raise DegeneratePencil("algebraic start centered on the anchor")
-    return refine_one_point(m, anchor, Circle(start.cx, start.cy, r))
+    raise DegeneratePencil(
+        "no pencil eigenvector gives a center within "
+        f"{_MAX_CENTER_SCALES:g} data scales of the anchor")
 
 
 class AnchoredObjective:
@@ -526,21 +558,56 @@ def two_point_ratio(m, p1, p2) -> tuple[QuadRatio, ChordLine]:
     beta = hx / h
     mx, my = 0.5 * x1 + 0.5 * x2, 0.5 * y1 + 0.5 * y2
 
-    nm, _, _, k = _shifted_frame(m, (mx, my), True)
+    if isinstance(m, MomentAccumulator):
+        t = translate(m, -mx, -my)
+        k = scale_exponent(t)
+    else:
+        nm, _, _, k = _shifted_frame(m, (mx, my), True)
     hs = _ldexp_inf(h, -k)
     h2 = hs * hs
     if h2 == math.inf:
         raise OutOfRange("chord outside the float range at the data's scale")
-    s4 = nm.m40 + 2.0 * nm.m22 + nm.m04
-    s2 = nm.m20 + nm.m02
-    a0 = s4 - 2.0 * h2 * s2 + h2 * h2
-    a1 = -4.0 * (alpha * (nm.m30 + nm.m12) + beta * (nm.m21 + nm.m03)
-                 - h2 * (alpha * nm.m10 + beta * nm.m01))
-    a2 = 4.0 * (alpha * alpha * nm.m20 + 2.0 * alpha * beta * nm.m11
-                + beta * beta * nm.m02)
+    if isinstance(m, MomentAccumulator):
+        a0, a1, a2 = _exact_chord_coeffs(t, h, alpha, beta, k)
+    else:
+        s4 = nm.m40 + 2.0 * nm.m22 + nm.m04
+        s2 = nm.m20 + nm.m02
+        a0 = s4 - 2.0 * h2 * s2 + h2 * h2
+        a1 = -4.0 * (alpha * (nm.m30 + nm.m12) + beta * (nm.m21 + nm.m03)
+                     - h2 * (alpha * nm.m10 + beta * nm.m01))
+        a2 = 4.0 * (alpha * alpha * nm.m20 + 2.0 * alpha * beta * nm.m11
+                    + beta * beta * nm.m02)
+    if not (math.isfinite(a0) and math.isfinite(a1) and math.isfinite(a2)):
+        raise OutOfRange("ratio outside the float range at the data's scale")
     ratio = QuadRatio(a=(a0, a1, a2), b=(4.0 * h2, 0.0, 4.0))
     return ratio, ChordLine(px=mx, py=my, alpha=alpha, beta=beta,
                             half_chord=h, exp=k)
+
+
+def _exact_chord_coeffs(acc: MomentAccumulator, h: float, alpha: float,
+                       beta: float, k: int) -> tuple[float, float, float]:
+    """Numerator coefficients of the two-anchor ratio from an accumulator
+    whose origin is the chord midpoint, each rounded once.
+
+    The numerator is the mean of (|q|^2 - h^2 - 2t (alpha, beta).q)^2 over
+    the points q, in the frame scaled by 2**-k:
+    a0 = mean (|q|^2 - h^2)^2, a1 = -4 mean (|q|^2 - h^2)(alpha, beta).q and
+    a2 = 4 mean ((alpha, beta).q)^2, with h, alpha and beta taken as the
+    exact floats they are. Exactly, a0 >= 0, a2 >= 0 and a1^2 <= 4 a0 a2."""
+    w = _weight(acc)
+    n = acc.sums
+    (hi,), eh = _on_grid(h)
+    (a, b), ea = _on_grid(alpha, beta)
+    sh = -eh
+    h2 = hi * hi
+    t0 = ((((n[10] + 2 * n[12] + n[14]) << 2 * sh) - 2 * h2 * (n[3] + n[5]))
+          << 2 * sh) + h2 * h2 * w
+    t1 = ((a * (n[6] + n[8]) + b * (n[7] + n[9])) << 2 * sh) \
+        - h2 * (a * n[1] + b * n[2])
+    t2 = a * a * n[3] + 2 * a * b * n[4] + b * b * n[5]
+    return (_scaled_div(t0, w, -4 * sh - 4 * k),
+            _scaled_div(-t1, w, ea - 2 * sh - 3 * k + 2),
+            _scaled_div(t2, w, 2 * ea - 2 * k + 2))
 
 
 def two_point_fit(m, p1, p2) -> Circle:

@@ -112,6 +112,25 @@ def _to_float(n: int, e: int) -> float:
     return n / (DENOMINATOR << -e)
 
 
+def _scaled_div(num: int, den: int, exp: int) -> float:
+    """num * 2**exp / den for den > 0, correctly rounded; an infinity of
+    num's sign when that leaves the float range."""
+    try:
+        if exp >= 0:
+            return (num << exp) / den
+        return num / (den << -exp)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _on_grid(*values: float) -> tuple[list[int], int]:
+    """Integers n_i and one exponent e <= 0 with values[i] == n_i * 2**e."""
+    parts = [v.as_integer_ratio() for v in values]
+    bits = [d.bit_length() - 1 for _, d in parts]  # denominators are 2**bits
+    top = max(bits)
+    return [n << (top - b) for (n, _), b in zip(parts, bits)], -top
+
+
 def _canonical(sums, e: int) -> MomentAccumulator:
     """Accumulator of sums[i] * 2**e / DENOMINATOR with common factors of
     two moved into the exponent."""

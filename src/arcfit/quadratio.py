@@ -21,11 +21,15 @@ _ADMISSIBILITY_RTOL = 1e-9
 _DOMAIN_RTOL = 1e-12
 
 
+class _Inadmissible(ValueError):
+    """A numerator that takes negative values beyond round-off."""
+
+
 def _admissible(a0: float, a1: float, a2: float) -> tuple[float, float, float]:
     """Validate that the numerator is nonnegative for all x.
 
     Round-off level violations are clamped to the admissible boundary;
-    anything worse is a caller bug and raises.
+    anything worse raises _Inadmissible.
     """
     scale = max(abs(a0), abs(a1), abs(a2))
     if scale == 0.0:
@@ -33,15 +37,15 @@ def _admissible(a0: float, a1: float, a2: float) -> tuple[float, float, float]:
     tol = _ADMISSIBILITY_RTOL * scale
     if a2 < 0.0:
         if a2 < -tol:
-            raise ValueError(f"numerator opens downward: a2={a2!r}")
+            raise _Inadmissible(f"numerator opens downward: a2={a2!r}")
         a2 = 0.0
     if a0 < 0.0:
         if a0 < -tol:
-            raise ValueError(f"numerator negative at x=0: a0={a0!r}")
+            raise _Inadmissible(f"numerator negative at x=0: a0={a0!r}")
         a0 = 0.0
     if a2 == 0.0:
         if abs(a1) > tol:
-            raise ValueError(
+            raise _Inadmissible(
                 f"linear numerator takes negative values: a1={a1!r}")
         a1 = 0.0
     else:
@@ -51,7 +55,7 @@ def _admissible(a0: float, a1: float, a2: float) -> tuple[float, float, float]:
         # still counts as boundary noise rather than a violation.
         dscale = max(a1 * a1, abs(4.0 * a0 * a2), scale * scale)
         if disc > _ADMISSIBILITY_RTOL * dscale:
-            raise ValueError(
+            raise _Inadmissible(
                 f"numerator has real roots of odd multiplicity: "
                 f"discriminant {disc!r}")
         if disc > 0.0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import NonConvergence, OutOfRange
 from .fit import Circle
 
 __all__ = [
@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# Largest relative gap between an arc's endpoint and its circle.
+_ENDPOINT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class Arc:
         p1 = (float(p1[0]), float(p1[1]))
         for p in (p0, p1):
             gap = abs(math.hypot(p[0] - circle.cx, p[1] - circle.cy) - circle.r)
-            if gap > 1e-9 * circle.r:
+            if gap > _ENDPOINT_RTOL * circle.r:
                 raise ValueError(f"endpoint {p} is not on the circle")
         # np.arctan2 throughout: position() must reproduce these angles bit
         # for bit so the endpoints land at parameters 0 and span exactly
@@ -115,7 +117,8 @@ def geometric_fit(points, start: Circle, max_iter: int = 200,
                   tol: float = 1e-12) -> Circle:
     """Local minimizer of the radial deviations by Gauss-Newton with step
     halving. The residual never increases; converges when the relative
-    parameter change drops below tol."""
+    parameter change drops below tol. Raises OutOfRange when an iterate
+    leaves the float range."""
     pts = _pts(points)
     if pts.shape[0] < 3:
         raise ValueError("geometric fit needs at least 3 points")
@@ -127,36 +130,42 @@ def geometric_fit(points, start: Circle, max_iter: int = 200,
         d = np.hypot(x - params[0], y - params[1])
         return float(np.sum((d - params[2]) ** 2))
 
-    current = sse(p)
-    for _ in range(max_iter):
-        dx = x - p[0]
-        dy = y - p[1]
-        d = np.hypot(dx, dy)
-        d = np.maximum(d, 1e-300)
-        e = d - p[2]
-        jac = np.column_stack((-dx / d, -dy / d, -np.ones_like(d)))
-        jtj = jac.T @ jac
-        jte = jac.T @ e
-        try:
-            step = -np.linalg.solve(jtj, jte)
-        except np.linalg.LinAlgError:
-            step = -np.linalg.lstsq(jtj, jte, rcond=None)[0]
+    # Far out in the float range the squares overflow; such an iterate is
+    # refused below, and numpy need not warn about it on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = sse(p)
+        for _ in range(max_iter):
+            dx = x - p[0]
+            dy = y - p[1]
+            d = np.hypot(dx, dy)
+            d = np.maximum(d, 1e-300)
+            e = d - p[2]
+            jac = np.column_stack((-dx / d, -dy / d, -np.ones_like(d)))
+            jtj = jac.T @ jac
+            jte = jac.T @ e
+            try:
+                step = -np.linalg.solve(jtj, jte)
+            except np.linalg.LinAlgError:
+                step = -np.linalg.lstsq(jtj, jte, rcond=None)[0]
 
-        lam = 1.0
-        accepted = False
-        while lam >= 2.0 ** -40:
-            trial = p + lam * step
-            if trial[2] > 0.0:
-                trial_sse = sse(trial)
-                if trial_sse <= current:
-                    moved = float(np.linalg.norm(lam * step))
-                    p, current, accepted = trial, trial_sse, True
-                    break
-            lam *= 0.5
-        if not accepted:
-            return Circle(p[0], p[1], p[2])
-        if moved <= tol * (1.0 + float(np.linalg.norm(p))):
-            return Circle(p[0], p[1], p[2])
+            lam = 1.0
+            accepted = False
+            while lam >= 2.0 ** -40:
+                trial = p + lam * step
+                if trial[2] > 0.0:
+                    trial_sse = sse(trial)
+                    if trial_sse <= current:
+                        if not np.all(np.isfinite(trial)):
+                            raise OutOfRange(
+                                "geometric fit left the float range")
+                        moved = float(np.linalg.norm(lam * step))
+                        p, current, accepted = trial, trial_sse, True
+                        break
+                lam *= 0.5
+            if not accepted:
+                return Circle(p[0], p[1], p[2])
+            if moved <= tol * (1.0 + float(np.linalg.norm(p))):
+                return Circle(p[0], p[1], p[2])
     raise NonConvergence(f"geometric fit did not settle in {max_iter} iterations")
 
 

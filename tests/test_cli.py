@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,20 @@ class TestFitCommand:
         assert code == 3
         assert "CollinearOrDegenerate" in err
 
+    def test_one_anchor_without_pencil_center_is_degenerate(self, capsys,
+                                                            tmp_path):
+        # Point-symmetric about the anchor: every pencil eigenvector puts the
+        # center at infinity, so no circle through the anchor is returned.
+        rng = np.random.default_rng(0)
+        half = rng.normal(size=(20, 2))
+        pts = np.vstack((half, -half)) + rng.normal(0, 1e-9, (40, 2))
+        path = tmp_path / "symmetric.txt"
+        write_points(path, pts)
+        code, out, err = run(capsys, "fit", str(path), "--through=0,0")
+        assert code == 3, out
+        assert out == ""
+        assert "DegeneratePencil" in err
+
     def test_csv_format(self, capsys, unit_circle_file):
         code, out, _ = run(capsys, "fit", str(unit_circle_file),
                            "--format", "csv")
@@ -155,6 +170,25 @@ class TestCompressCommand:
         assert code == 2
         assert out == ""
         assert "--tol" in err
+
+
+def test_compress_far_vertex_is_valid_input(capsys, tmp_path):
+    """A unit arc with one vertex moved 1e3 to 1e12 away is ordinary
+    digitizing damage: compress must not report it as bad input (exit 2),
+    which rounded two-anchor ratio coefficients used to cause."""
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "far.txt"
+    for _ in range(100):
+        t0 = rng.uniform(0, 2 * math.pi)
+        pts = circle_points(af.Circle(0, 0, 1), t0,
+                            t0 + rng.uniform(1.0, 3.0), 12)
+        angle = rng.uniform(0, 2 * math.pi)
+        pts[rng.integers(12)] += 10.0 ** rng.uniform(3, 12) * np.array(
+            [math.cos(angle), math.sin(angle)])
+        write_points(path, pts)
+        code, out, err = run(capsys, "compress", str(path), "--tol", "1e-3")
+        assert code == 0, err
+        assert strict_json(out)["primitives"][-1]["j"] == 11
 
 
 def strict_json(text):
@@ -300,6 +334,17 @@ class TestCompareCommand:
         agg = json.loads(out)["aggregate"]
         assert set(agg) == {"true_radius", "mean_r_kasa", "mean_r_free",
                             "mean_r_geom", "frac_free_closer_than_kasa"}
+
+    def test_radius_beyond_float_range_is_degenerate(self, capsys):
+        # The geometric fit's squares overflow on the way; that is a result
+        # outside the float range (exit 3), and numpy must not warn about it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "compare", "--radius", "1e308",
+                                 "--trials", "2", "--points", "50")
+        assert code == 3, out
+        assert "OutOfRange" in err
+        assert "RuntimeWarning" not in err
 
     def test_bad_flag_value_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

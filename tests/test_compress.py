@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import arcfit as af
-from arcfit.compress import (ArcPrim, Segment, build_prefix, candidate_arc,
+from arcfit.compress import (ArcPrim, Segment, _LineSums, _arc_cannot_pass,
+                             _orient_arc, build_prefix, candidate_arc,
                              candidate_segment, compress, fit_arc_candidate)
+from arcfit.reference import check_tolerance_zigzag
 
 from helpers import brute_compress, circle_points, extent, parcel_polyline
 
@@ -254,3 +256,139 @@ class TestConstantTimeFit:
             counts[n] = wrapped.reads
         assert counts[8] < counts[40] < counts[160]
         assert counts[160] >= 160
+
+
+def bound_test_polyline(rng, n):
+    """Exact or noisy arc, near-line or random walk, at a random scale and
+    up to 1e9 from the origin; returns the points and the scale."""
+    kind = rng.integers(4)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    offset = rng.choice([0.0, 1e3, 1e6, 1e9]) * rng.uniform(-1, 1, 2)
+    if kind <= 1:
+        t0 = rng.uniform(0, 2 * math.pi)
+        span = rng.uniform(0.3, 3.0)
+        pts = circle_points(af.Circle(0, 0, 1), t0, t0 + span, n)
+        if kind == 1:
+            pts = pts + rng.normal(0, 10.0 ** rng.uniform(-9, -2), pts.shape)
+    elif kind == 2:
+        t = np.sort(rng.uniform(0, 1, n))
+        pts = np.column_stack((t, 1e-3 * t))
+        pts = pts + rng.normal(0, 10.0 ** rng.uniform(-12, -4), pts.shape)
+    else:
+        pts = np.cumsum(rng.normal(0, 1, (n, 2)), axis=0)
+    return pts * scale + offset, scale
+
+
+class TestCandidateBounds:
+    def test_bounds_reject_only_what_validation_rejects(self):
+        rng = np.random.default_rng(2024)
+        seen = dict(arc_pass=0, arc_cut=0, seg_pass=0, seg_cut=0)
+        for _ in range(40):
+            n = int(rng.integers(5, 13))
+            pts, scale = bound_test_polyline(rng, n)
+            prefix = build_prefix(pts)
+            lines = _LineSums(pts)
+            for tol in (0.0, 1e-12 * scale, 1e-6, 1e-3 * scale, 0.05 * scale):
+                for i in range(n - 2):
+                    for j in range(i + 2, n):
+                        seg = candidate_segment(pts, i, j, tol)
+                        seen["seg_pass"] += seg is not None
+                        if lines.segment_cannot_pass(i, j, tol):
+                            seen["seg_cut"] += 1
+                            assert seg is None, (i, j, tol)
+                        fitted = fit_arc_candidate(pts, prefix, i, j)
+                        if fitted is None:
+                            continue
+                        _, ssd, circle = fitted
+                        window = pts[i:j + 1]
+                        arc = _orient_arc(circle, window)
+                        ok = (arc is not None
+                              and check_tolerance_zigzag(window, arc, tol).ok)
+                        seen["arc_pass"] += ok
+                        if _arc_cannot_pass(ssd, j - i - 1, circle.r, tol):
+                            seen["arc_cut"] += 1
+                            assert not ok, (i, j, tol, circle)
+        # the check is not vacuous: both bounds cut, and candidates pass
+        assert min(seen.values()) > 100, seen
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -30, 2.0 ** 40])
+    @pytest.mark.parametrize("radius", [5.0 * (1.0 - 2.0 ** -20), 4.0, 2.0])
+    def test_arc_bound_admits_every_vertex_at_tol(self, scale, radius):
+        # Interior vertices all exactly 5 * scale from the center and the
+        # anchors on the circle: each vertex deviates by the same d - r, so
+        # the ssd is as large as an accepted arc's can be.
+        r = radius * scale
+        interior = np.array([(4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3)]) * scale
+        window = np.vstack(([(r, 0.0)], interior, [(-r, 0.0)]))
+        circle = af.Circle(0.0, 0.0, r)
+        arc = af.Arc.from_endpoints(circle, window[0], window[-1], ccw=True)
+        tol = check_tolerance_zigzag(window, arc, math.inf).max_dev
+        assert check_tolerance_zigzag(window, arc, tol).ok
+        ssd = af.penalty(af.from_points(interior), circle)
+        assert not _arc_cannot_pass(ssd, 5, r, tol)
+        assert _arc_cannot_pass(ssd, 5, r, 0.99 * tol)
+
+    def test_segment_bound_admits_a_vertex_at_tol(self):
+        # The vertex is exactly 5 * scale from the tilted chord; tol is the
+        # distance validation computes, which rounding sometimes puts below
+        # the exact one.
+        below = 0
+        for scale in (2.0 ** -20, 1.0, 2.0 ** 30):
+            for offset in (0.0, 2.0 ** 20, 3e6):
+                a = np.array([offset, -offset])
+                for t in range(1, 40):
+                    for length in (40, 41, 77):
+                        steps = [(4 * t - 3, 3 * t + 4), (4 * length, 3 * length)]
+                        pts = np.vstack(([a], a + scale * np.array(steps)))
+                        ab, rel = pts[2] - a, pts[1] - a
+                        off = rel - np.clip((rel @ ab) / (ab @ ab), 0, 1) * ab
+                        tol = math.sqrt(off @ off)
+                        below += tol < 5 * scale
+                        assert candidate_segment(pts, 0, 2, tol) is not None
+                        assert not _LineSums(pts).segment_cannot_pass(0, 2, tol)
+        assert below > 0
+
+    def test_pruned_search_matches_plain_search(self):
+        rng = np.random.default_rng(8)
+        for _ in range(12):
+            pts = random_polyline(rng, int(rng.integers(8, 25)))
+            for tol in (0.0, 0.01, 0.05, 0.3):
+                want = plain_compress(pts, tol)
+                got = compress(pts, tol)
+                assert (got.total_penalty, got.total_ssd) == want[:2]
+                assert got.primitives == want[2]
+
+
+def plain_compress(pts, tol):
+    """The compressor's DP over every (i, j) and both candidate kinds, with
+    neither bounds nor pruning: (penalty, ssd, primitives)."""
+    n = len(pts)
+    prefix = build_prefix(pts)
+    best = [(math.inf, 0.0)] * n
+    best[0] = (0.0, 0.0)
+    back = [None] * n
+    for j in range(1, n):
+        for i in range(j):
+            cands = [candidate_segment(pts, i, j, tol)]
+            fitted = fit_arc_candidate(pts, prefix, i, j)
+            if fitted is not None:
+                pen, ssd, circle = fitted
+                window = pts[i:j + 1]
+                arc = _orient_arc(circle, window)
+                if arc is not None and check_tolerance_zigzag(window, arc, tol).ok:
+                    cands.append((pen, ssd, ArcPrim(i, j, circle, arc.ccw, ssd)))
+            for cand in cands:
+                if cand is None:
+                    continue
+                tot = (best[i][0] + cand[0], best[i][1] + cand[1])
+                if tot < best[j]:
+                    best[j], back[j] = tot, cand[2]
+    prims, k = [], n - 1
+    while k > 0:
+        prims.append(back[k])
+        k = back[k].i
+    prims.reverse()
+    final = [ArcPrim(p.i, p.j, p.circle, p.ccw, p.ssd,
+                     exact_ssd=af.exact_sse(pts[p.i + 1:p.j], p.circle))
+             if isinstance(p, ArcPrim) else p for p in prims]
+    return best[n - 1][0], best[n - 1][1], final

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from arcfit.dirsearch import eigen_sym, minimize
-from arcfit.quadratio import QuadRatio, minimize_ratio
+from arcfit.quadratio import QuadRatio, _Inadmissible, minimize_ratio
 
 
 class QuadObjective:
@@ -157,6 +157,33 @@ class TestMinimize:
         assert state.values[-1] <= state.values[0]
         for prev, nxt in zip(state.values, state.values[1:]):
             assert nxt <= prev + 1e-12 * (1.0 + abs(prev))
+
+    def test_inadmissible_line_is_skipped(self):
+        # Along x the stub's numerator opens downward beyond round-off, so
+        # QuadRatio refuses it: that line is vetoed and the search moves
+        # along y alone. Any other ValueError is still an error.
+        base = QuadObjective(np.diag([1.0, 4.0]), [1.0, 2.0])
+
+        class InadmissibleAlongX:
+            value = base.value
+            hessian_proxy = base.hessian_proxy
+
+            def line_ratio(self, x, direction):
+                if abs(direction[0]) > 0.5:
+                    return QuadRatio(a=(1.0, 0.0, -1.0), b=(1.0, 0.0, 0.0))
+                return base.line_ratio(x, direction)
+
+        with pytest.raises(_Inadmissible):
+            InadmissibleAlongX().line_ratio([0.0, 0.0], np.array([1.0, 0.0]))
+        x = minimize(InadmissibleAlongX(), [0.0, 0.0], sweeps=3)
+        assert x == pytest.approx([0.0, 2.0], abs=1e-12)
+
+        class Broken(InadmissibleAlongX):
+            def line_ratio(self, x, direction):
+                raise ValueError("not a ratio")
+
+        with pytest.raises(ValueError, match="not a ratio"):
+            minimize(Broken(), [0.0, 0.0])
 
     def test_direction_sign_and_order_independence(self):
         # sequential exact line minimization over the same eigenvector set
