@@ -20,7 +20,7 @@ import numpy as np
 from . import fit as _fit
 from .errors import NoArcExists, OutOfRange
 from .fit import Circle, two_point_fit
-from .moments import (MomentAccumulator, _grid, _grid_ints, _scaled_div,
+from .moments import (DENOMINATOR, MomentAccumulator, _on_grid, _scaled_div,
                       accumulate_point, difference, empty)
 from .reference import _ENDPOINT_RTOL, Arc, check_tolerance_zigzag, exact_sse
 
@@ -201,6 +201,13 @@ def fit_arc_candidate(polyline, prefix: PrefixMoments, i: int, j: int,
     return penalty, ssd, circle
 
 
+# Per interior vertex, an absolute allowance on the squared-distance bounds
+# below for what floats lose to underflow: squares and sums that land among
+# the subnormals (spacing 2**-1074) are rounded by an absolute amount that no
+# relative slack covers.
+_SUBNORMAL_FLOOR = 2.0 ** -1070
+
+
 def _arc_cannot_pass(ssd: float, m: int, r: float, tol: float) -> bool:
     """True when an arc fit of radius r whose O(1) ssd over its m interior
     vertices is `ssd` cannot pass validation at tol.
@@ -212,61 +219,53 @@ def _arc_cannot_pass(ssd: float, m: int, r: float, tol: float) -> bool:
     (d^2 - r^2)^2 / (4 r^2) = (d - r)^2 ((d + r) / (2r))^2 <= t^2 (1 + t/(2r))^2
     to the ssd; the last factor covers the ssd's and the bound's rounding."""
     t = tol + _ENDPOINT_RTOL * r * (1.0 + 1e-6) + 2.0 ** -50 * (r + tol)
-    return ssd > m * t * t * (1.0 + t / (2.0 * r)) ** 2 * (1.0 + 1e-12)
+    return ssd > m * (t * t * (1.0 + t / (2.0 * r)) ** 2
+                      + _SUBNORMAL_FLOOR) * (1.0 + 1e-12)
 
 
-class _LineSums:
-    """Exact prefix sums of order <= 2 over the vertices, as integers on
-    one power-of-two grid: an O(1) necessary condition for segments."""
+def _line_sums(interior: MomentAccumulator, a, b) -> tuple[float, float, float]:
+    """Sums over the interior points p, from their exact order <= 2 sums and
+    each rounded once: squared distances to the line through a and b (to a
+    when a == b), |b - a|^2, and |p - a|^2."""
+    (ax, ay, bx, by), e = _on_grid(float(a[0]), float(a[1]),
+                                   float(b[0]), float(b[1]))
+    sh = -e
+    n00, n10, n01, n20, n11, n02 = interior.sums[:6]
+    ux, uy = bx - ax, by - ay
+    len2 = ux * ux + uy * uy
+    # sum |p - a|^2 and, with k = a x b, sum ((p - a) x u)^2 = sum (p x u - k)^2,
+    # on the grid: the sums carry 2**exp / DENOMINATOR, each length 2**-sh
+    spread = ((((n20 + n02) << sh) - 2 * (ax * n10 + ay * n01)) << sh) \
+        + (ax * ax + ay * ay) * n00
+    exp = interior.exp - 2 * sh
+    if len2:
+        k = ax * by - ay * bx
+        cross = ((((uy * uy * n20 - 2 * ux * uy * n11 + ux * ux * n02) << sh)
+                  - 2 * k * (uy * n10 - ux * n01)) << sh) + k * k * n00
+        line = _scaled_div(cross, DENOMINATOR * len2, exp)
+    else:
+        line = _scaled_div(spread, DENOMINATOR, exp)
+    return (line, _scaled_div(len2, 1, -2 * sh),
+            _scaled_div(spread, DENOMINATOR, exp))
 
-    def __init__(self, polyline: np.ndarray):
-        self.grid = _grid(polyline.ravel())
-        self.xs = xs = _grid_ints(polyline[:, 0], self.grid)
-        self.ys = ys = _grid_ints(polyline[:, 1], self.grid)
-        sums = [(0, 0, 0, 0, 0)]
-        for x, y in zip(xs, ys):
-            sx, sy, sxx, sxy, syy = sums[-1]
-            sums.append((sx + x, sy + y, sxx + x * x, sxy + x * y, syy + y * y))
-        self.sums = sums
 
-    def line_ssd(self, i: int, j: int) -> tuple[float, float, float]:
-        """Exact sums over the interior vertices p of the window (i, j),
-        each rounded once: squared distances to the line through a = vertex
-        i and b = vertex j (to a when a == b), |b - a|^2, and |p - a|^2."""
-        m = j - i - 1
-        sx, sy, sxx, sxy, syy = (b - a for a, b in
-                                 zip(self.sums[i + 1], self.sums[j]))
-        ax, ay = self.xs[i], self.ys[i]
-        ux, uy = self.xs[j] - ax, self.ys[j] - ay
-        # second moments of the interior about a
-        cxx = sxx - 2 * ax * sx + ax * ax * m
-        cxy = sxy - ax * sy - ay * sx + ax * ay * m
-        cyy = syy - 2 * ay * sy + ay * ay * m
-        len2 = ux * ux + uy * uy
-        spread = cxx + cyy
-        if len2:
-            cross = uy * uy * cxx - 2 * ux * uy * cxy + ux * ux * cyy
-            line = _scaled_div(cross, len2, 2 * self.grid)
-        else:
-            line = _scaled_div(spread, 1, 2 * self.grid)
-        return (line, _scaled_div(len2, 1, 2 * self.grid),
-                _scaled_div(spread, 1, 2 * self.grid))
+def _segment_cannot_pass(polyline, prefix: PrefixMoments, i: int, j: int,
+                         tol: float) -> bool:
+    """True when the segment from vertex i to j cannot pass
+    candidate_segment at tol.
 
-    def segment_cannot_pass(self, i: int, j: int, tol: float) -> bool:
-        """True when the segment from vertex i to j cannot pass
-        candidate_segment at tol.
-
-        A vertex's distance to the segment is at least its distance to the
-        line through the endpoints, so an accepted segment has at most
-        m * t^2 as the sum of squared line distances of its m interior
-        vertices. t is tol plus the validation's float rounding, which
-        scales with |b - a| and |p - a|."""
-        m = j - i - 1
-        if m <= 0:
-            return False
-        line, len2, spread = self.line_ssd(i, j)
-        t = tol + 2.0 ** -48 * (math.sqrt(len2) + math.sqrt(spread))
-        return line > m * t * t
+    A vertex's distance to the segment is at least its distance to the
+    line through the endpoints, so an accepted segment has at most
+    m * t^2 as the sum of squared line distances of its m interior
+    vertices. t is tol plus the validation's float rounding, which
+    scales with |b - a| and |p - a|."""
+    m = j - i - 1
+    if m <= 0:
+        return False
+    line, len2, spread = _line_sums(prefix.range_moments(i + 1, j),
+                                    polyline[i], polyline[j])
+    t = tol + 2.0 ** -48 * (math.sqrt(len2) + math.sqrt(spread))
+    return line > m * (t * t + _SUBNORMAL_FLOOR)
 
 
 def _orient_arc(circle: Circle, window: np.ndarray) -> Arc | None:
@@ -360,8 +359,6 @@ def compress(polyline, tol: float, *, segment_penalty: float = SEGMENT_PENALTY,
     arc_pairs = (_seeded_arc_pairs(polyline, prefix, tol, arc_penalty)
                  if prefilter else None)
 
-    lines = _LineSums(polyline)
-
     best_pen = [math.inf] * n
     best_ssd = [0.0] * n
     back = [None] * n
@@ -387,7 +384,7 @@ def compress(polyline, tol: float, *, segment_penalty: float = SEGMENT_PENALTY,
         cap = best_pen[j - 1] + segment_penalty
         for i in range(j):
             if (best_pen[i] + segment_penalty <= min(cap, best_pen[j])
-                    and not lines.segment_cannot_pass(i, j, tol)):
+                    and not _segment_cannot_pass(polyline, prefix, i, j, tol)):
                 offer(i, j, candidate_segment(polyline, i, j, tol,
                                               segment_penalty))
             if (j - i >= 3

@@ -18,8 +18,10 @@ Three entry points:
                    that line is already a ratio of quadratics, so the answer
                    is closed form.
 
-Fitters accept either a MomentAccumulator (recommended: recentering then
-happens on exact sums) or already-normalized moments.
+kasa_fit, free_fit, one_point_fit and refine_one_point accept either a
+MomentAccumulator (recommended: recentering then happens on exact sums) or
+already-normalized moments. two_point_fit and penalty take an accumulator
+only: they work on its exact integer sums and round each result once.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import dirsearch
 from .errors import (CollinearOrDegenerate, DegeneratePencil, NoArcExists,
                      OutOfRange)
 from .moments import (DENOMINATOR, MomentAccumulator, NormalizedMoments,
-                      _on_grid, _scaled_div, centroid, normalized,
+                      _on_grid, _scaled_div, _weight_int, centroid, normalized,
                       scale_exponent, translate)
 from .quadratio import QuadRatio, minimize_ratio
 
@@ -180,14 +182,6 @@ def _ldexp_inf(x: float, k: int) -> float:
         return math.ldexp(x, k)
     except OverflowError:
         return math.copysign(math.inf, x)
-
-
-def _weight(acc: MomentAccumulator) -> int:
-    """The accumulator's weight integer; the empty accumulator is rejected
-    as in normalized()."""
-    if acc.sums[0] <= 0:
-        raise ValueError("cannot normalize an accumulator with zero weight")
-    return acc.sums[0]
 
 
 def _as_normalized(m) -> NormalizedMoments:
@@ -364,31 +358,19 @@ def free_fit(m, sweeps: int = 1, pre_center: bool = True, tol: float = 0.0) -> C
                   math.ldexp(float(x[2]), k))
 
 
-def penalty(m, c: Circle) -> float:
+def penalty(acc: MomentAccumulator, c: Circle) -> float:
     """O(1) approximation of the sum of squared radial deviations from the
-    circle: total weight times the objective value at the circle. Infinite
-    when that sum is beyond the float range.
-
-    Given an accumulator, the value is computed exactly from its integer
-    sums, with the circle's coordinates taken as the exact floats they are,
-    and rounded once."""
-    if isinstance(m, MomentAccumulator):
-        return _exact_penalty(m, c)
-    nm, _, _, k = _shifted_frame(m, (c.cx, c.cy), True)
-    r = math.ldexp(c.r, -k)
-    coeffs = fit_coeffs(nm, Estimate(0.0, 0.0, r))
-    return _ldexp_inf(nm.w * max(coeffs.v, 0.0) / (4.0 * r * r), 2 * k)
-
-
-def _exact_penalty(acc: MomentAccumulator, c: Circle) -> float:
-    """sum w * (|p - c|^2 - r^2)^2 / (4 r^2) over the accumulated points.
+    circle: sum w * (|p - c|^2 - r^2)^2 / (4 r^2) over the accumulated
+    points, computed exactly from the accumulator's integer sums with the
+    circle's coordinates taken as the exact floats they are, and rounded
+    once. Infinite when that sum is beyond the float range.
 
     With the center and radius on one grid, (cx, cy, r) = (x, y, r) * 2**e,
     and K = x^2 + y^2 - r^2, the sum expands into the power sums (z stands
     for x^2 + y^2) as
     S[z^2] - 4(x S[zx] + y S[zy]) + 2K S[z] + 4(x^2 S20 + 2xy S11 + y^2 S02)
     - 4K (x S10 + y S01) + K^2 S00, evaluated in integers."""
-    _weight(acc)
+    _weight_int(acc)
     (x, y, r), e = _on_grid(c.cx, c.cy, c.r)
     sh = -e
     n = acc.sums
@@ -538,15 +520,18 @@ def refine_one_point(m, anchor, start: Circle, sweeps: int = 20,
     return Circle(gx, gy, math.hypot(gx - xa, gy - ya))
 
 
-def two_point_ratio(m, p1, p2) -> tuple[QuadRatio, ChordLine]:
+def two_point_ratio(acc: MomentAccumulator, p1, p2
+                    ) -> tuple[QuadRatio, ChordLine]:
     """Two-anchor objective restricted to the perpendicular bisector.
 
     Centers are midpoint + t*(alpha, beta). In midpoint coordinates the
     per-point residual is linear in t and the squared anchor distance is
     h^2 + t^2, so the objective is a ratio of quadratics in t. For data far
     outside the float-friendly scale the ratio is in t * 2**-line.exp
-    instead; line.point_at takes care of it.
+    instead; line.point_at takes care of it. Each numerator coefficient is
+    computed exactly from the accumulator and rounded once.
     """
+    _weight_int(acc)
     x1, y1 = float(p1[0]), float(p1[1])
     x2, y2 = float(p2[0]), float(p2[1])
     # Halve before adding, so that neither the chord nor the midpoint overflows.
@@ -558,25 +543,13 @@ def two_point_ratio(m, p1, p2) -> tuple[QuadRatio, ChordLine]:
     beta = hx / h
     mx, my = 0.5 * x1 + 0.5 * x2, 0.5 * y1 + 0.5 * y2
 
-    if isinstance(m, MomentAccumulator):
-        t = translate(m, -mx, -my)
-        k = scale_exponent(t)
-    else:
-        nm, _, _, k = _shifted_frame(m, (mx, my), True)
+    about_mid = translate(acc, -mx, -my)
+    k = scale_exponent(about_mid)
     hs = _ldexp_inf(h, -k)
     h2 = hs * hs
     if h2 == math.inf:
         raise OutOfRange("chord outside the float range at the data's scale")
-    if isinstance(m, MomentAccumulator):
-        a0, a1, a2 = _exact_chord_coeffs(t, h, alpha, beta, k)
-    else:
-        s4 = nm.m40 + 2.0 * nm.m22 + nm.m04
-        s2 = nm.m20 + nm.m02
-        a0 = s4 - 2.0 * h2 * s2 + h2 * h2
-        a1 = -4.0 * (alpha * (nm.m30 + nm.m12) + beta * (nm.m21 + nm.m03)
-                     - h2 * (alpha * nm.m10 + beta * nm.m01))
-        a2 = 4.0 * (alpha * alpha * nm.m20 + 2.0 * alpha * beta * nm.m11
-                    + beta * beta * nm.m02)
+    a0, a1, a2 = _exact_chord_coeffs(about_mid, h, alpha, beta, k)
     if not (math.isfinite(a0) and math.isfinite(a1) and math.isfinite(a2)):
         raise OutOfRange("ratio outside the float range at the data's scale")
     ratio = QuadRatio(a=(a0, a1, a2), b=(4.0 * h2, 0.0, 4.0))
@@ -594,8 +567,8 @@ def _exact_chord_coeffs(acc: MomentAccumulator, h: float, alpha: float,
     a0 = mean (|q|^2 - h^2)^2, a1 = -4 mean (|q|^2 - h^2)(alpha, beta).q and
     a2 = 4 mean ((alpha, beta).q)^2, with h, alpha and beta taken as the
     exact floats they are. Exactly, a0 >= 0, a2 >= 0 and a1^2 <= 4 a0 a2."""
-    w = _weight(acc)
     n = acc.sums
+    w = n[0]
     (hi,), eh = _on_grid(h)
     (a, b), ea = _on_grid(alpha, beta)
     sh = -eh
@@ -610,13 +583,13 @@ def _exact_chord_coeffs(acc: MomentAccumulator, h: float, alpha: float,
             _scaled_div(t2, w, 2 * ea - 2 * k + 2))
 
 
-def two_point_fit(m, p1, p2) -> Circle:
+def two_point_fit(acc: MomentAccumulator, p1, p2) -> Circle:
     """Best circle through both anchor points, in closed form.
 
     Raises NoArcExists when the objective has no attained minimum along the
     bisector, i.e. the data is consistent with the straight chord.
     """
-    ratio, line = two_point_ratio(m, p1, p2)
+    ratio, line = two_point_ratio(acc, p1, p2)
     best = minimize_ratio(ratio)
     if best is None:
         raise NoArcExists("no finite arc improves on the chord")

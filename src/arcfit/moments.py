@@ -131,6 +131,16 @@ def _on_grid(*values: float) -> tuple[list[int], int]:
     return [n << (top - b) for (n, _), b in zip(parts, bits)], -top
 
 
+def _weight_int(acc: MomentAccumulator) -> int:
+    """The weight integer sums[0] of a nonempty accumulator."""
+    if not isinstance(acc, MomentAccumulator):
+        raise TypeError(f"expected a MomentAccumulator, got {type(acc).__name__}")
+    w = acc.sums[0]
+    if w <= 0:
+        raise ValueError("accumulator has zero weight")
+    return w
+
+
 def _canonical(sums, e: int) -> MomentAccumulator:
     """Accumulator of sums[i] * 2**e / DENOMINATOR with common factors of
     two moved into the exponent."""
@@ -470,9 +480,7 @@ def normalized(acc: MomentAccumulator, scale_exp: int = 0) -> NormalizedMoments:
     (order g+h divided by 2**(k*(g+h))), still correctly rounded; the weight
     is not scaled.
     """
-    w = acc.sums[0]
-    if w <= 0:
-        raise ValueError("cannot normalize an accumulator with zero weight")
+    w = _weight_int(acc)
     if scale_exp == 0:
         vals = [n / w for n in acc.sums]
     else:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import arcfit as af
-from arcfit.compress import (ArcPrim, Segment, _LineSums, _arc_cannot_pass,
-                             _orient_arc, build_prefix, candidate_arc,
+from arcfit.compress import (ArcPrim, Segment, _arc_cannot_pass, _orient_arc,
+                             _segment_cannot_pass, build_prefix, candidate_arc,
                              candidate_segment, compress, fit_arc_candidate)
 from arcfit.reference import check_tolerance_zigzag
 
@@ -279,44 +279,73 @@ def bound_test_polyline(rng, n):
     return pts * scale + offset, scale
 
 
+def check_bounds(pts, tols, seen):
+    """Over every (i, j) of pts and each tol: whatever a bound rejects,
+    candidate_segment or _orient_arc + check_tolerance_zigzag rejects too.
+    Counts passes and cuts into seen."""
+    n = len(pts)
+    prefix = build_prefix(pts)
+    for tol in tols:
+        for i in range(n - 2):
+            for j in range(i + 2, n):
+                seg = candidate_segment(pts, i, j, tol)
+                seen["seg_pass"] += seg is not None
+                if _segment_cannot_pass(pts, prefix, i, j, tol):
+                    seen["seg_cut"] += 1
+                    assert seg is None, (i, j, tol)
+                fitted = fit_arc_candidate(pts, prefix, i, j)
+                if fitted is None:
+                    continue
+                _, ssd, circle = fitted
+                window = pts[i:j + 1]
+                arc = _orient_arc(circle, window)
+                ok = (arc is not None
+                      and check_tolerance_zigzag(window, arc, tol).ok)
+                seen["arc_pass"] += ok
+                if _arc_cannot_pass(ssd, j - i - 1, circle.r, tol):
+                    seen["arc_cut"] += 1
+                    assert not ok, (i, j, tol, circle)
+
+
 class TestCandidateBounds:
     def test_bounds_reject_only_what_validation_rejects(self):
         rng = np.random.default_rng(2024)
         seen = dict(arc_pass=0, arc_cut=0, seg_pass=0, seg_cut=0)
         for _ in range(40):
-            n = int(rng.integers(5, 13))
-            pts, scale = bound_test_polyline(rng, n)
-            prefix = build_prefix(pts)
-            lines = _LineSums(pts)
-            for tol in (0.0, 1e-12 * scale, 1e-6, 1e-3 * scale, 0.05 * scale):
-                for i in range(n - 2):
-                    for j in range(i + 2, n):
-                        seg = candidate_segment(pts, i, j, tol)
-                        seen["seg_pass"] += seg is not None
-                        if lines.segment_cannot_pass(i, j, tol):
-                            seen["seg_cut"] += 1
-                            assert seg is None, (i, j, tol)
-                        fitted = fit_arc_candidate(pts, prefix, i, j)
-                        if fitted is None:
-                            continue
-                        _, ssd, circle = fitted
-                        window = pts[i:j + 1]
-                        arc = _orient_arc(circle, window)
-                        ok = (arc is not None
-                              and check_tolerance_zigzag(window, arc, tol).ok)
-                        seen["arc_pass"] += ok
-                        if _arc_cannot_pass(ssd, j - i - 1, circle.r, tol):
-                            seen["arc_cut"] += 1
-                            assert not ok, (i, j, tol, circle)
+            pts, scale = bound_test_polyline(rng, int(rng.integers(5, 13)))
+            check_bounds(pts, (0.0, 1e-12 * scale, 1e-6, 1e-3 * scale,
+                               0.05 * scale), seen)
         # the check is not vacuous: both bounds cut, and candidates pass
         assert min(seen.values()) > 100, seen
 
-    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -30, 2.0 ** 40])
-    @pytest.mark.parametrize("radius", [5.0 * (1.0 - 2.0 ** -20), 4.0, 2.0])
-    def test_arc_bound_admits_every_vertex_at_tol(self, scale, radius):
-        # Interior vertices all exactly 5 * scale from the center and the
-        # anchors on the circle: each vertex deviates by the same d - r, so
-        # the ssd is as large as an accepted arc's can be.
+    @pytest.mark.parametrize("scale, cuts", [(1e-150, True), (1e-158, True),
+                                             (1e-300, False)])
+    def test_bounds_hold_where_squares_underflow(self, scale, cuts):
+        # Squared distances of these polylines are subnormal or below the
+        # smallest float, where rounding is absolute, not relative. At 1e-300
+        # all of them are below the bounds' subnormal floor, so the bounds
+        # cut nothing there and leave every candidate to validation.
+        rng = np.random.default_rng(int(-math.log10(scale)))
+        seen = dict(arc_pass=0, arc_cut=0, seg_pass=0, seg_cut=0)
+        tols = (0.0, 1e-12 * scale, 1e-3 * scale)
+        for _ in range(20):
+            pts, s = bound_test_polyline(rng, int(rng.integers(5, 11)))
+            check_bounds(pts * (scale / s), tols, seen)
+        for _ in range(10):
+            # near-lines whose offsets square to subnormals or to zero
+            n = int(rng.integers(4, 9))
+            t = np.sort(rng.uniform(0, 1, n))
+            noise = rng.normal(0, 10.0 ** rng.uniform(-14, -11), (n, 2))
+            check_bounds((np.column_stack((t, t)) + noise) * scale, tols, seen)
+        assert min(seen["arc_pass"], seen["seg_pass"]) > 10, seen
+        assert (min(seen["arc_cut"], seen["seg_cut"]) > 10) == cuts, seen
+
+    @staticmethod
+    def every_vertex_at_tol(scale, radius):
+        """Interior vertices all exactly 5 * scale from the center and the
+        anchors on the circle: each vertex deviates by the same d - r, so the
+        ssd is as large as an accepted arc's can be. Returns the ssd, r and
+        the smallest tol that validation accepts."""
         r = radius * scale
         interior = np.array([(4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3)]) * scale
         window = np.vstack(([(r, 0.0)], interior, [(-r, 0.0)]))
@@ -324,9 +353,23 @@ class TestCandidateBounds:
         arc = af.Arc.from_endpoints(circle, window[0], window[-1], ccw=True)
         tol = check_tolerance_zigzag(window, arc, math.inf).max_dev
         assert check_tolerance_zigzag(window, arc, tol).ok
-        ssd = af.penalty(af.from_points(interior), circle)
+        return af.penalty(af.from_points(interior), circle), r, tol
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -30, 2.0 ** 40])
+    @pytest.mark.parametrize("radius", [5.0 * (1.0 - 2.0 ** -20), 4.0, 2.0])
+    def test_arc_bound_admits_every_vertex_at_tol(self, scale, radius):
+        ssd, r, tol = self.every_vertex_at_tol(scale, radius)
         assert not _arc_cannot_pass(ssd, 5, r, tol)
         assert _arc_cannot_pass(ssd, 5, r, 0.99 * tol)
+
+    @pytest.mark.parametrize("exp", range(-524, -512))
+    def test_arc_bound_admits_every_vertex_at_tol_as_squares_underflow(self, exp):
+        # Deviations of 5 * 2**-20 * scale square to between a thousandth
+        # and a few thousand of the smallest subnormal: the bound's t * t is
+        # off by up to half that spacing, down to 0 at the small end, while
+        # the ssd sums five squares before it rounds.
+        ssd, r, tol = self.every_vertex_at_tol(2.0 ** exp, 5.0 * (1.0 - 2.0 ** -20))
+        assert not _arc_cannot_pass(ssd, 5, r, tol)
 
     def test_segment_bound_admits_a_vertex_at_tol(self):
         # The vertex is exactly 5 * scale from the tilted chord; tol is the
@@ -345,8 +388,19 @@ class TestCandidateBounds:
                         tol = math.sqrt(off @ off)
                         below += tol < 5 * scale
                         assert candidate_segment(pts, 0, 2, tol) is not None
-                        assert not _LineSums(pts).segment_cannot_pass(0, 2, tol)
+                        assert not _segment_cannot_pass(
+                            pts, build_prefix(pts), 0, 2, tol)
         assert below > 0
+
+    def test_segment_accepted_at_underflow_stays_one_segment(self):
+        # candidate_segment squares each offset component (1.44e-324 rounds
+        # to 0) and accepts at tol 0; the exact line sum rounds to 4.9e-324.
+        pts = [(0.0, 0.0), (5e-151 + 1.2e-162, 5e-151 - 1.2e-162),
+               (1e-150, 1e-150)]
+        assert candidate_segment(np.array(pts), 0, 2, 0.0) is not None
+        path = compress(pts, 0.0)
+        assert path.total_penalty == 2.0
+        assert [(p.i, p.j) for p in path.primitives] == [(0, 2)]
 
     def test_pruned_search_matches_plain_search(self):
         rng = np.random.default_rng(8)

@@ -8,11 +8,11 @@ equal float() of the same quantity summed point by point in Fractions.
 import math
 from fractions import Fraction
 
-import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import arcfit as af
-from arcfit.compress import _LineSums
+from arcfit.compress import _line_sums, build_prefix
 from arcfit.errors import OutOfRange
 from arcfit.fit import _exact_chord_coeffs, two_point_ratio
 from arcfit.quadratio import _admissible
@@ -137,7 +137,8 @@ class TestExactScoringOracle:
     def test_segment_line_sums(self, poly, data):
         i = data.draw(st.integers(0, len(poly) - 2))
         j = data.draw(st.integers(i + 1, len(poly) - 1))
-        got = _LineSums(np.array(poly, dtype=float)).line_ssd(i, j)
+        interior = build_prefix(poly).range_moments(i + 1, j)
+        got = _line_sums(interior, poly[i], poly[j])
         exact = exact_pts(poly)
         (ax, ay), (bx, by) = exact[i], exact[j]
         ux, uy = bx - ax, by - ay
@@ -148,3 +149,18 @@ class TestExactScoringOracle:
             spread += dist2
             line += ((x - ax) * uy - (y - ay) * ux) ** 2 / len2 if len2 else dist2
         assert got == (rounded(line), rounded(len2), rounded(spread))
+
+
+class TestAccumulatorOnly:
+    def test_normalized_moments_are_rejected(self):
+        nm = af.normalized(af.from_points([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]))
+        with pytest.raises(TypeError):
+            af.penalty(nm, af.Circle(0.0, 0.0, 1.0))
+        with pytest.raises(TypeError):
+            two_point_ratio(nm, (1.0, 0.0), (-1.0, 0.0))
+
+    def test_empty_accumulator_is_rejected(self):
+        with pytest.raises(ValueError):
+            af.penalty(af.empty(), af.Circle(0.0, 0.0, 1.0))
+        with pytest.raises(ValueError):
+            two_point_ratio(af.empty(), (1.0, 0.0), (-1.0, 0.0))
