@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--tol", type=float, required=True,
                        help="maximum allowed deviation from the source polyline")
     p_cmp.add_argument("--prefilter", action="store_true",
-                       help="seed arc windows instead of trying all of them")
+                       help="accepted for compatibility; has no effect, the "
+                            "search is always exhaustive")
     p_cmp.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_cmpre = sub.add_parser("compare",
@@ -125,7 +126,7 @@ def _cmd_compress(args) -> int:
         print("error: --tol must be finite and nonnegative", file=sys.stderr)
         return 2
     polyline = read_points(args.input)
-    path = compress(polyline, args.tol, prefilter=args.prefilter)
+    path = compress(polyline, args.tol)
     report = path.to_dict(polyline)
     report["n_points"] = len(polyline)
     report["tol"] = args.tol
@@ -167,15 +168,18 @@ def _cmd_compare(args) -> int:
         })
     closer = sum(abs(r["r_free"] - r["r_geom"]) < abs(r["r_kasa"] - r["r_geom"])
                  for r in rows)
-    aggregate = {
-        "true_radius": scenario.radius,
-        "mean_r_kasa": float(np.mean([r["r_kasa"] for r in rows])),
-        "mean_r_free": float(np.mean([r["r_free"] for r in rows])),
-        "mean_r_geom": float(np.mean([r["r_geom"] for r in rows])),
-        "frac_free_closer_than_kasa": closer / len(rows),
-    }
+    # A mean whose sum overflows is refused below, without a numpy warning.
+    with np.errstate(over="ignore"):
+        aggregate = {
+            "true_radius": scenario.radius,
+            "mean_r_kasa": float(np.mean([r["r_kasa"] for r in rows])),
+            "mean_r_free": float(np.mean([r["r_free"] for r in rows])),
+            "mean_r_geom": float(np.mean([r["r_geom"] for r in rows])),
+            "frac_free_closer_than_kasa": closer / len(rows),
+        }
+    text = _json({"trials": rows, "aggregate": aggregate})
     if args.format == "json":
-        print(json.dumps({"trials": rows, "aggregate": aggregate}))
+        print(text)
     else:
         cols = list(rows[0].keys())
         print(",".join(cols))

@@ -6,8 +6,10 @@ optimum minimizes (total cost, total squared deviation) lexicographically.
 Arc candidates are fitted in O(1) from prefix-moment differences; only the
 tolerance / ordering validation of a candidate looks at the points between
 its endpoints, and only once exact O(1) bounds have not shown that the
-candidate cannot pass or cannot win. Adjacent-vertex segments are always
-accepted, so a solution always exists.
+candidate cannot pass or cannot win. Before the DP, an O(n) table of vertex
+triples gives, for each end vertex, the earliest start from which a
+candidate could pass at all: windows that cross a corner are never tried.
+Adjacent-vertex segments are always accepted, so a solution always exists.
 """
 
 from __future__ import annotations
@@ -306,49 +308,124 @@ def candidate_arc(polyline, prefix: PrefixMoments, i: int, j: int, tol: float,
     return penalty, ssd, ArcPrim(i, j, circle, arc.ccw, ssd)
 
 
-def _seeded_arc_pairs(polyline, prefix: PrefixMoments, tol: float,
-                      penalty: float) -> set:
-    """Window-doubling probe pass: fit arcs to probe windows, keep the merged
-    intervals where probes validate, and admit every pair inside them.
-    Cheaper than exhaustive search but can miss solutions on noisy data."""
+# Radius cap of an accepted arc in bounding-box diagonals: two_point_fit
+# keeps the center offset along the chord's bisector within
+# _MAX_CENTER_SCALES * max(half chord, spread), both at most the diagonal.
+_MAX_RADIUS_SCALES = 1.01 * _fit._MAX_CENTER_SCALES
+
+
+def _triple_bounds(a, b, c, x, t: float):
+    """Per vertex triple with sides a = |p1 - p0|, b = |p2 - p1|,
+    c = |p2 - p0| and x = cross(p1 - p0, p2 - p0), given every vertex may
+    move by up to t: the orientation the moved triangle must keep (+1, -1,
+    or 0 for either or degenerate) and the range [lo, hi] its circumradius
+    stays in. Moving the vertices changes each side by at most 2t and the
+    cross product by at most d = 2t(a + c) + 4t^2; the circumradius is
+    abc / (2|x|). The sides and x must be finite. A t so large that d is
+    infinite or NaN constrains nothing: the comparisons with d fail and
+    every side is within 2t, so sign 0, lo 0, hi inf."""
+    with np.errstate(all="ignore"):
+        d = (2.0 * t * (a + c) + 4.0 * t * t) * (1.0 + 1e-9) + 1e-9 * np.abs(x)
+        ax = np.abs(x)
+        sign = np.where(x > d, 1, np.where(x < -d, -1, 0))
+        hi = np.where(ax > d, (a + 2.0 * t) * (b + 2.0 * t) * (c + 2.0 * t)
+                      / (2.0 * (ax - d)) * (1.0 + 1e-9), math.inf)
+        lo_den = 2.0 * (ax + d)
+        lo = np.where(lo_den > 0.0,
+                      np.maximum(a - 2.0 * t, 0.0) * np.maximum(b - 2.0 * t, 0.0)
+                      * np.maximum(c - 2.0 * t, 0.0) / lo_den * (1.0 - 1e-9),
+                      0.0)
+    return sign, lo, hi
+
+
+def _window_starts(polyline: np.ndarray, tol: float) -> tuple[list, list]:
+    """For each end vertex j, the smallest start i of an arc and of a
+    segment candidate (i, j) that validation could still accept; every
+    candidate that starts earlier is rejected by candidate_arc or
+    candidate_segment. O(n) table, then one downward scan per j that stops
+    at the first conflict.
+
+    Each rule reads the vertex triples (p[k-1], p[k], p[k+1]) of the window
+    whose vertices validation holds within t of the primitive: an arc's
+    interior ones, k in [i+2, j-2], and for a segment also its endpoints,
+    which lie on its line, k in [i+1, j-1]. Adding triples only makes a rule
+    harder to meet, so the windows that meet it at a given j are those with
+    i at or above one start.
+
+    Why the rules are necessary:
+    - Arc. An accepted arc is monotone, so every interior vertex lies in the
+      arc's sector, where validation's |hypot(p - c) - r| <= tol. Move each
+      vertex radially onto the circle: it moves at most t, and the moved
+      vertices keep validation's strict angular order, so three of them form
+      a triangle of the arc's orientation whose circumradius is r. Hence
+      every nonzero triple sign is the arc's orientation, and
+      max lo <= r <= min hi over the window's triples.
+    - Segment. Every interior vertex of an accepted segment lies within t
+      of the chord's line (of the one endpoint when both coincide), and the
+      endpoints lie on it. Moved onto it, three vertices have cross product
+      0, so every triple sign is 0.
+    - Slack. t is tol plus validation's rounding, 2**-48 of the largest
+      magnitude it handles: the center lies within M + R of the origin,
+      where M is the largest |coordinate| and R = _MAX_RADIUS_SCALES * E
+      bounds the radius (E the bounding-box diagonal; a segment's lengths
+      are within E), plus 2**-530 for squares that validation loses among
+      the subnormals. The (1 + 1e-6) on t and the 1e-9 terms in
+      _triple_bounds cover the table's own rounding.
+    The table is evaluated on the vertices scaled by one power of two, to a
+    largest |coordinate| m in [1/2, 1), which keeps every side and cross
+    product in the float range; a vertex that underflows there moves by far
+    less than t. A polyline with a non-finite coordinate is not cut."""
     n = len(polyline)
-    hits = []
-    for i in range(n - 3):
-        width = 3
-        while True:
-            j = i + width
-            clipped = min(j, n - 1)
-            if candidate_arc(polyline, prefix, i, clipped, tol, penalty):
-                hits.append((i, clipped))
-            if j >= n - 1:
+    arc_start = [0] * n
+    seg_start = [0] * n
+    big = float(np.max(np.abs(polyline)))
+    if not math.isfinite(big):
+        return arc_start, seg_start
+    m, e = math.frexp(big)
+    pts = np.ldexp(polyline, -e)
+    span = float(np.hypot(*np.ptp(pts, axis=0)))
+    with np.errstate(over="ignore"):
+        tol_s = float(np.ldexp(tol, -e))
+    base = tol_s + 2.0 ** -48 * (m + tol_s) + math.ldexp(2.0 ** -530, -e)
+    t_arc = (base + 2.0 ** -48 * _MAX_RADIUS_SCALES * span) * (1.0 + 1e-6)
+    t_seg = (base + 2.0 ** -48 * span) * (1.0 + 1e-6)
+
+    p0, p1, p2 = pts[:-2], pts[1:-1], pts[2:]
+    u, v = p1 - p0, p2 - p0
+    a = np.hypot(u[:, 0], u[:, 1])
+    b = np.hypot(p2[:, 0] - p1[:, 0], p2[:, 1] - p1[:, 1])
+    c = np.hypot(v[:, 0], v[:, 1])
+    x = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    # index k - 1 holds the triple centred on vertex k
+    sign, lo, hi = (arr.tolist() for arr in _triple_bounds(a, b, c, x, t_arc))
+    seg_sign = _triple_bounds(a, b, c, x, t_seg)[0].tolist()
+
+    last_bent = 0
+    for j in range(2, n):
+        if seg_sign[j - 2]:
+            last_bent = j - 1
+        seg_start[j] = last_bent
+        lo_max, hi_min, turn = 0.0, math.inf, 0
+        k = j - 2
+        while k >= 2:
+            lo_max = max(lo_max, lo[k - 1])
+            hi_min = min(hi_min, hi[k - 1])
+            s = sign[k - 1]
+            if lo_max > hi_min or (s and turn and s != turn):
                 break
-            width *= 2
-    if not hits:
-        return set()
-    hits.sort()
-    merged = [list(hits[0])]
-    for lo, hi in hits[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    pairs = set()
-    for lo, hi in merged:
-        for a in range(lo, hi - 2):
-            for b in range(a + 3, hi + 1):
-                pairs.add((a, b))
-    return pairs
+            turn = turn or s
+            k -= 1
+        arc_start[j] = max(k - 1, 0)
+    return arc_start, seg_start
 
 
 def compress(polyline, tol: float, *, segment_penalty: float = SEGMENT_PENALTY,
-             arc_penalty: float = ARC_PENALTY,
-             prefilter: bool = False) -> CompressedPath:
+             arc_penalty: float = ARC_PENALTY) -> CompressedPath:
     """Optimal chain of segments and arcs from the first to the last vertex.
 
     Minimizes total penalty, then total squared deviation (arc deviations
     scored with the O(1) moment estimate; exact values are recomputed on the
-    returned primitives). With prefilter=True arc candidates are restricted
-    to seeded windows, trading optimality guarantees for speed.
+    returned primitives).
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
@@ -356,8 +433,7 @@ def compress(polyline, tol: float, *, segment_penalty: float = SEGMENT_PENALTY,
     polyline = np.asarray(polyline, dtype=float)
     n = len(polyline)
     prefix = build_prefix(polyline)
-    arc_pairs = (_seeded_arc_pairs(polyline, prefix, tol, arc_penalty)
-                 if prefilter else None)
+    arc_start, seg_start = _window_starts(polyline, tol)
 
     best_pen = [math.inf] * n
     best_ssd = [0.0] * n
@@ -381,15 +457,16 @@ def compress(polyline, tol: float, *, segment_penalty: float = SEGMENT_PENALTY,
         # or the best found so far, cannot win: skip it before any work.
         # The test is strict and i keeps its order, so ties resolve as in a
         # search without it. An unreachable i (infinite penalty) never passes.
+        # Starts below arc_start[j] / seg_start[j] cannot pass validation.
         cap = best_pen[j - 1] + segment_penalty
-        for i in range(j):
-            if (best_pen[i] + segment_penalty <= min(cap, best_pen[j])
+        for i in range(min(arc_start[j], seg_start[j]), j):
+            if (i >= seg_start[j]
+                    and best_pen[i] + segment_penalty <= min(cap, best_pen[j])
                     and not _segment_cannot_pass(polyline, prefix, i, j, tol)):
                 offer(i, j, candidate_segment(polyline, i, j, tol,
                                               segment_penalty))
-            if (j - i >= 3
-                    and best_pen[i] + arc_penalty <= min(cap, best_pen[j])
-                    and (arc_pairs is None or (i, j) in arc_pairs)):
+            if (j - i >= 3 and i >= arc_start[j]
+                    and best_pen[i] + arc_penalty <= min(cap, best_pen[j])):
                 offer(i, j, candidate_arc(polyline, prefix, i, j, tol,
                                           arc_penalty))
 

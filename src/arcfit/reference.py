@@ -134,6 +134,23 @@ def geometric_fit(points, start: Circle, max_iter: int = 200,
     # refused below, and numpy need not warn about it on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         current = sse(p)
+        if not math.isfinite(current):
+            # Every step would compare inf <= inf and pass. Fit the points
+            # and start scaled by a power of two instead (exact unless a
+            # coordinate underflows) and scale the result back.
+            big = max(float(np.max(np.abs(pts))), abs(start.cx),
+                      abs(start.cy), start.r)
+            k = math.frexp(big)[1] if math.isfinite(big) else 0
+            if k:
+                c = geometric_fit(np.ldexp(pts, -k), Circle(
+                    math.ldexp(start.cx, -k), math.ldexp(start.cy, -k),
+                    math.ldexp(start.r, -k)), max_iter, tol)
+                try:
+                    return Circle(math.ldexp(c.cx, k), math.ldexp(c.cy, k),
+                                  math.ldexp(c.r, k))
+                except OverflowError:
+                    raise OutOfRange(
+                        "geometric fit left the float range") from None
         for _ in range(max_iter):
             dx = x - p[0]
             dy = y - p[1]

@@ -6,25 +6,14 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import arcfit as af
-from arcfit.fit import CircleObjective
 from arcfit.scenario import SimScenario, trial_points
+
+from helpers import free_fit_with_state
 
 settings.register_profile(
     "suite", max_examples=60, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
-
-
-def free_fit_with_state(acc, sweeps, tol):
-    """free_fit flow with the search trace exposed (centroid frame, exact
-    pre-shift, algebraic start)."""
-    cx, cy = af.centroid(acc)
-    nm = af.normalized(af.translate(acc, -cx, -cy))
-    start = af.kasa_fit(nm, pre_center=False)
-    obj = CircleObjective(nm)
-    x, state = af.minimize(obj, [start.cx, start.cy, start.r],
-                           sweeps=sweeps, tol=tol, return_state=True)
-    return af.Circle(x[0] + cx, x[1] + cy, x[2]), state
 
 
 @dataclass

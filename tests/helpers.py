@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import arcfit as af
+from arcfit.fit import CircleObjective, _shifted_frame
 from arcfit.quadratio import QuadRatio, ratio_value
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -331,6 +332,19 @@ def pratt_fit(pts) -> tuple[float, float, float]:
     r = math.sqrt(b * b + c * c - 4.0 * a * d) / (2.0 * abs(a))
     return (float(mean[0] - scale * b / (2.0 * a)),
             float(mean[1] - scale * c / (2.0 * a)), scale * r)
+
+
+def free_fit_with_state(acc, sweeps, tol):
+    """free_fit flow with the search trace exposed (free_fit's frame: the
+    centroid at the origin, rescaled by a power of two; algebraic start)."""
+    nm, cx, cy, k = _shifted_frame(acc, None, True)
+    start = af.kasa_fit(nm, pre_center=False)
+    obj = CircleObjective(nm)
+    x, state = af.minimize(obj, [start.cx, start.cy, start.r],
+                           sweeps=sweeps, tol=tol, return_state=True)
+    return af.Circle(math.ldexp(float(x[0]), k) + cx,
+                     math.ldexp(float(x[1]), k) + cy,
+                     math.ldexp(float(x[2]), k)), state
 
 
 # ---------------------------------------------------------------------------

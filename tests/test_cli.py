@@ -9,7 +9,7 @@ import arcfit as af
 from arcfit.cli import main
 from arcfit.pointfile import parse_points, read_points, write_points
 
-from helpers import circle_points
+from helpers import circle_points, extent, parcel_polyline
 
 
 @pytest.fixture()
@@ -155,6 +155,21 @@ class TestCompressCommand:
         assert code == 0
         report = json.loads(out)
         assert report["segments"] == 9 and report["arcs"] == 0
+
+    def test_prefilter_flag_prints_the_same_bytes(self, capsys, tmp_path):
+        # --prefilter is kept for old command lines and changes nothing
+        arc = tmp_path / "arc.txt"
+        write_points(arc, circle_points(af.Circle(0, 0, 2), 0.3, 0.3 + math.pi,
+                                        24))
+        parcel = tmp_path / "parcel.txt"
+        pts, _, _ = parcel_polyline(np.random.default_rng(3), n_arcs=2)
+        write_points(parcel, pts)
+        for path, tol in ((arc, "1e-8"), (parcel, repr(1e-6 * extent(pts)))):
+            for fmt in ("json", "csv"):
+                argv = ("compress", str(path), f"--tol={tol}", "--format", fmt)
+                code, plain, _ = run(capsys, *argv)
+                assert code == 0
+                assert run(capsys, *argv, "--prefilter") == (0, plain, "")
 
     def test_negative_tolerance_rejected(self, capsys, tmp_path):
         path = tmp_path / "line.txt"
@@ -345,6 +360,20 @@ class TestCompareCommand:
         assert code == 3, out
         assert "OutOfRange" in err
         assert "RuntimeWarning" not in err
+
+    def test_geometric_fit_keeps_its_scale_where_squares_overflow(self, capsys):
+        # From about R = 1e155 the squared residuals overflow; the geometric
+        # fit then runs on the points scaled by a power of two.
+        ratio = {}
+        for radius in ("1", "1e160", "1e300"):
+            code, out, _ = run(capsys, "compare", "--radius", radius,
+                               "--trials", "2", "--points", "50",
+                               "--format", "json")
+            assert code == 0
+            agg = json.loads(out)["aggregate"]
+            ratio[radius] = agg["mean_r_geom"] / agg["true_radius"]
+        assert ratio["1e160"] == pytest.approx(ratio["1"], rel=1e-9)
+        assert ratio["1e300"] == pytest.approx(ratio["1"], rel=1e-9)
 
     def test_bad_flag_value_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,8 +5,9 @@ import pytest
 
 import arcfit as af
 from arcfit.compress import (ArcPrim, Segment, _arc_cannot_pass, _orient_arc,
-                             _segment_cannot_pass, build_prefix, candidate_arc,
-                             candidate_segment, compress, fit_arc_candidate)
+                             _segment_cannot_pass, _window_starts, build_prefix,
+                             candidate_arc, candidate_segment, compress,
+                             fit_arc_candidate)
 from arcfit.reference import check_tolerance_zigzag
 
 from helpers import brute_compress, circle_points, extent, parcel_polyline
@@ -207,11 +208,6 @@ class TestCompress:
             assert path.n_arcs == n_arc
             assert path.n_segments == n_seg
 
-    def test_prefilter_restores_exact_arcs(self):
-        pts = circle_points(af.Circle(0, 0, 2), 0.3, 0.3 + math.pi, 24)
-        path = compress(pts, tol=1e-8, prefilter=True)
-        assert path.n_arcs == 1 and path.n_segments == 0
-
     def test_exact_ssd_reported_per_arc(self):
         pts = circle_points(af.Circle(0, 0, 2), 0.0, math.pi, 20)
         path = compress(pts, tol=1e-8)
@@ -280,18 +276,22 @@ def bound_test_polyline(rng, n):
 
 
 def check_bounds(pts, tols, seen):
-    """Over every (i, j) of pts and each tol: whatever a bound rejects,
-    candidate_segment or _orient_arc + check_tolerance_zigzag rejects too.
-    Counts passes and cuts into seen."""
+    """Over every (i, j) of pts and each tol: whatever a bound or the window
+    cut rejects, candidate_segment or _orient_arc + check_tolerance_zigzag
+    rejects too. Counts passes, bound cuts and window cuts into seen."""
     n = len(pts)
     prefix = build_prefix(pts)
     for tol in tols:
+        arc_start, seg_start = _window_starts(pts, tol)
         for i in range(n - 2):
             for j in range(i + 2, n):
                 seg = candidate_segment(pts, i, j, tol)
                 seen["seg_pass"] += seg is not None
                 if _segment_cannot_pass(pts, prefix, i, j, tol):
                     seen["seg_cut"] += 1
+                    assert seg is None, (i, j, tol)
+                if i < seg_start[j]:
+                    seen["seg_skip"] += 1
                     assert seg is None, (i, j, tol)
                 fitted = fit_arc_candidate(pts, prefix, i, j)
                 if fitted is None:
@@ -305,12 +305,52 @@ def check_bounds(pts, tols, seen):
                 if _arc_cannot_pass(ssd, j - i - 1, circle.r, tol):
                     seen["arc_cut"] += 1
                     assert not ok, (i, j, tol, circle)
+                if i < arc_start[j]:
+                    seen["arc_skip"] += 1
+                    assert not ok, (i, j, tol, circle)
+
+
+def new_seen():
+    return dict(arc_pass=0, arc_cut=0, arc_skip=0,
+                seg_pass=0, seg_cut=0, seg_skip=0)
+
+
+def edge_of_tolerance_polyline(rng, n):
+    """Polyline whose vertices sit at the edge of a tolerance, at a random
+    scale and up to 1e9 from the origin: an exact arc with its interior
+    vertices pushed radially by +-tol in turn, a line zigzagging +-tol about
+    its chord, or a parcel with uniform noise of up to 0.7 tol. Returns the
+    points and the tolerance."""
+    kind = rng.integers(3)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    offset = rng.choice([0.0, 1e3, 1e6, 1e9]) * rng.uniform(-1, 1, 2)
+    tol = 10.0 ** rng.uniform(-9, -2)
+    if kind == 0:
+        t0 = rng.uniform(0, 2 * math.pi)
+        r = rng.uniform(0.5, 2.0)
+        theta = np.linspace(t0, t0 + rng.uniform(0.3, 3.0), n)
+        push = np.where(np.arange(n) % 2, tol, -tol)
+        push[[0, -1]] = 0.0
+        rad = r + push
+        pts = np.column_stack((rad * np.cos(theta), rad * np.sin(theta)))
+    elif kind == 1:
+        heading = rng.uniform(0, 2 * math.pi)
+        d = np.array([math.cos(heading), math.sin(heading)])
+        normal = np.array([-d[1], d[0]])
+        side = np.where(np.arange(n) % 2, tol, -tol)
+        side[[0, -1]] = 0.0
+        pts = np.outer(np.sort(rng.uniform(0, 3, n)), d) + np.outer(side, normal)
+    else:
+        pts, _, _ = parcel_polyline(rng, n_arcs=1)
+        tol = 1e-6 * extent(pts) * 10.0 ** rng.uniform(0, 3)
+        pts = pts + rng.uniform(-0.7 * tol, 0.7 * tol, pts.shape) / math.sqrt(2)
+    return pts * scale + offset, tol * scale
 
 
 class TestCandidateBounds:
     def test_bounds_reject_only_what_validation_rejects(self):
         rng = np.random.default_rng(2024)
-        seen = dict(arc_pass=0, arc_cut=0, seg_pass=0, seg_cut=0)
+        seen = new_seen()
         for _ in range(40):
             pts, scale = bound_test_polyline(rng, int(rng.integers(5, 13)))
             check_bounds(pts, (0.0, 1e-12 * scale, 1e-6, 1e-3 * scale,
@@ -326,7 +366,7 @@ class TestCandidateBounds:
         # all of them are below the bounds' subnormal floor, so the bounds
         # cut nothing there and leave every candidate to validation.
         rng = np.random.default_rng(int(-math.log10(scale)))
-        seen = dict(arc_pass=0, arc_cut=0, seg_pass=0, seg_cut=0)
+        seen = new_seen()
         tols = (0.0, 1e-12 * scale, 1e-3 * scale)
         for _ in range(20):
             pts, s = bound_test_polyline(rng, int(rng.integers(5, 11)))
@@ -403,14 +443,49 @@ class TestCandidateBounds:
         assert [(p.i, p.j) for p in path.primitives] == [(0, 2)]
 
     def test_pruned_search_matches_plain_search(self):
+        # bounds, pruning and the window cut together, also at the edge of
+        # tolerance and where squares underflow or overflow
         rng = np.random.default_rng(8)
+        cases = []
         for _ in range(12):
             pts = random_polyline(rng, int(rng.integers(8, 25)))
-            for tol in (0.0, 0.01, 0.05, 0.3):
-                want = plain_compress(pts, tol)
-                got = compress(pts, tol)
-                assert (got.total_penalty, got.total_ssd) == want[:2]
-                assert got.primitives == want[2]
+            cases += [(pts, tol) for tol in (0.0, 0.01, 0.05, 0.3)]
+        for _ in range(12):
+            pts, tol = edge_of_tolerance_polyline(rng, int(rng.integers(8, 25)))
+            cases += [(pts, tol), (pts, 1.5 * tol)]
+        for scale in (1e-300, 1e-150, 1e150):
+            pts, _, _ = parcel_polyline(rng, n_arcs=1)
+            cases.append((pts * scale, 1e-6 * extent(pts) * scale))
+        for pts, tol in cases:
+            want = plain_compress(pts, tol)
+            got = compress(pts, tol)
+            assert (got.total_penalty, got.total_ssd) == want[:2]
+            assert got.primitives == want[2]
+
+
+class TestWindowCut:
+    def test_cut_rejects_only_what_validation_rejects_at_tolerance_edge(self):
+        rng = np.random.default_rng(2026)
+        seen = new_seen()
+        for _ in range(30):
+            pts, tol = edge_of_tolerance_polyline(rng, int(rng.integers(6, 16)))
+            check_bounds(pts, (tol, 1.5 * tol), seen)
+        assert min(seen.values()) > 100, seen
+
+    def test_thousand_vertex_parcel_is_restored(self, monkeypatch):
+        # Many arc runs with kinked junctions: the cut leaves each end
+        # vertex a handful of arc candidates instead of every start.
+        import arcfit.compress as cmp
+        pts, n_seg, n_arc = parcel_polyline(np.random.default_rng(11),
+                                            n_arcs=44)
+        assert len(pts) >= 900
+        calls = []
+        real = cmp.candidate_arc
+        monkeypatch.setattr(cmp, "candidate_arc",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        path = compress(pts, tol=1e-6 * extent(pts))
+        assert (path.n_segments, path.n_arcs) == (n_seg, n_arc)
+        assert len(calls) < 5 * len(pts)
 
 
 def plain_compress(pts, tol):

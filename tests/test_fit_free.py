@@ -10,8 +10,8 @@ from arcfit.fit import Estimate, d_proxy, fit_coeffs, line_ratio
 from arcfit.quadratio import ratio_value
 from arcfit.scenario import SimScenario, trial_points
 
-from helpers import (circle_points, noisy_arc, pp_free, pratt_fit,
-                     random_circle, rotate)
+from helpers import (circle_points, free_fit_with_state, noisy_arc, pp_free,
+                     pratt_fit, random_circle, rotate)
 
 
 class TestKasa:
@@ -245,6 +245,20 @@ class TestFreeFit:
             want_center = rotate([[base.cx, base.cy]], angle)[0] + shift
             assert (got.cx, got.cy) == pytest.approx(tuple(want_center), abs=1e-9)
             assert got.r == pytest.approx(base.r, abs=1e-9)
+
+
+class TestTracedFreeFit:
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e200, 1e-200])
+    def test_matches_free_fit_at_every_scale(self, scale):
+        # the traced flow builds free_fit's frame, power-of-two rescale
+        # included, so it fits where fourth-order moments leave the float
+        # range as well
+        rng = np.random.default_rng(12)
+        pts = noisy_arc(rng, af.Circle(0.5, -0.25, 2.0), 1.2, 200, 0.01)
+        acc = af.from_points(pts * scale)
+        got, state = free_fit_with_state(acc, sweeps=20, tol=1e-13)
+        assert got == af.free_fit(acc, sweeps=20, tol=1e-13)
+        assert state.sweeps_run >= 1
 
 
 class TestPrattOracle:
