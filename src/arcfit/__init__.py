@@ -17,7 +17,7 @@ from .moments import (MomentAccumulator, NormalizedMoments, accumulate_point,
 from .quadratio import QuadRatio, RatioMin, minimize_ratio, ratio_value
 from .dirsearch import minimize
 from .fit import (Circle, free_fit, kasa_fit, one_point_fit, penalty,
-                  refine_one_point, two_point_fit, two_point_ratio)
+                  two_point_fit, two_point_ratio)
 from .reference import (Arc, DeviationReport, arc_deviation,
                         check_tolerance_zigzag, exact_objective_sq, exact_sse,
                         geometric_fit)
@@ -37,7 +37,7 @@ __all__ = [
     "QuadRatio", "RatioMin", "minimize_ratio", "ratio_value",
     "minimize",
     "Circle", "free_fit", "kasa_fit", "one_point_fit", "penalty",
-    "refine_one_point", "two_point_fit", "two_point_ratio",
+    "two_point_fit", "two_point_ratio",
     "Arc", "DeviationReport", "arc_deviation", "check_tolerance_zigzag",
     "exact_objective_sq", "exact_sse", "geometric_fit",
     "ArcPrim", "CompressedPath", "PrefixMoments", "Segment", "build_prefix",

@@ -1,10 +1,11 @@
-"""Circle fitters driven entirely by moments up to order four.
+"""Circle fitters driven entirely by the nine radial moment sums.
 
 All fits minimize the same approximate objective: the classic sum of squared
 differences of squared distances, divided by 4r^2. The division removes (to
 first order) the small-radius bias of the plain algebraic fit while keeping
-the objective computable from precomputed moments, so every fit here costs
-O(1) once the moments exist.
+the objective computable from the sums of w * z z^T with
+z = (x^2 + y^2, x, y, 1) (see arcfit.moments), so every fit here costs O(1)
+once the moments exist.
 
 Three entry points:
 
@@ -18,10 +19,10 @@ Three entry points:
                    that line is already a ratio of quadratics, so the answer
                    is closed form.
 
-kasa_fit, free_fit, one_point_fit and refine_one_point accept either a
-MomentAccumulator (recommended: recentering then happens on exact sums) or
-already-normalized moments. two_point_fit and penalty take an accumulator
-only: they work on its exact integer sums and round each result once.
+kasa_fit, free_fit and one_point_fit accept either a MomentAccumulator
+(recommended: recentering then happens on exact sums) or already-normalized
+moments. two_point_fit and penalty take an accumulator only: they work on
+its exact integer sums and round each result once.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "penalty",
     "one_point_matrices",
     "one_point_fit",
-    "refine_one_point",
     "two_point_ratio",
     "two_point_fit",
 ]
@@ -219,14 +219,9 @@ def kasa_fit(m, pre_center: bool = True) -> Circle:
     solved from moments alone. Biased low on short arcs; used as the starting
     point for free_fit."""
     nm, sx, sy, k = _shifted_frame(m, None, pre_center)
-    mx, my = nm.m10, nm.m01
-    mu20 = nm.m20 - mx * mx
-    mu11 = nm.m11 - mx * my
-    mu02 = nm.m02 - my * my
-    mu30 = nm.m30 - 3.0 * nm.m20 * mx + 2.0 * mx ** 3
-    mu21 = nm.m21 - nm.m20 * my - 2.0 * nm.m11 * mx + 2.0 * mx * mx * my
-    mu12 = nm.m12 - nm.m02 * mx - 2.0 * nm.m11 * my + 2.0 * my * my * mx
-    mu03 = nm.m03 - 3.0 * nm.m02 * my + 2.0 * my ** 3
+    mx, my = nm.mean
+    mu = nm.translated(-mx, -my)
+    mu20, mu11, mu02 = mu.m20, mu.m11, mu.m02
 
     half = 0.5 * (mu20 + mu02)
     disc = math.hypot(0.5 * (mu20 - mu02), mu11)
@@ -236,8 +231,8 @@ def kasa_fit(m, pre_center: bool = True) -> Circle:
             "points are collinear or coincident; no circle start exists")
 
     det = mu20 * mu02 - mu11 * mu11
-    rx = 0.5 * (mu30 + mu12)
-    ry = 0.5 * (mu21 + mu03)
+    rx = 0.5 * mu.zx
+    ry = 0.5 * mu.zy
     uc = (rx * mu02 - ry * mu11) / det
     vc = (ry * mu20 - rx * mu11) / det
     r = math.sqrt(uc * uc + vc * vc + mu20 + mu02)
@@ -256,17 +251,14 @@ def fit_coeffs(nm: NormalizedMoments, e: Estimate) -> FitCoeffs:
     z_x = z + 2.0 * xe * xe
     z_y = z + 2.0 * ye * ye
 
-    s3x = nm.m30 + nm.m12
-    s3y = nm.m21 + nm.m03
-    v = ((nm.m40 + 2.0 * nm.m22 + nm.m04)
-         - 4.0 * s3x * xe - 4.0 * s3y * ye
+    v = (nm.zz - 4.0 * nm.zx * xe - 4.0 * nm.zy * ye
          + 8.0 * nm.m11 * xe * ye
          + 2.0 * nm.m20 * z_x + 2.0 * nm.m02 * z_y
          - 4.0 * (nm.m10 * xe + nm.m01 * ye) * z
          + z * z)
-    v_x = 4.0 * (-s3x + (3.0 * nm.m20 + nm.m02) * xe + 2.0 * nm.m11 * ye
+    v_x = 4.0 * (-nm.zx + (3.0 * nm.m20 + nm.m02) * xe + 2.0 * nm.m11 * ye
                  - 2.0 * nm.m01 * xe * ye - nm.m10 * z_x + xe * z)
-    v_y = 4.0 * (-s3y + (nm.m20 + 3.0 * nm.m02) * ye + 2.0 * nm.m11 * xe
+    v_y = 4.0 * (-nm.zy + (nm.m20 + 3.0 * nm.m02) * ye + 2.0 * nm.m11 * xe
                  - 2.0 * nm.m10 * xe * ye - nm.m01 * z_y + ye * z)
     v_r = -2.0 * (nm.m20 + nm.m02 - 2.0 * (nm.m10 * xe + nm.m01 * ye) + z)
     v_xx = 4.0 * (nm.m20 - 2.0 * nm.m10 * xe + xe * xe)
@@ -375,8 +367,7 @@ def penalty(acc: MomentAccumulator, c: Circle) -> float:
     sh = -e
     n = acc.sums
     k = x * x + y * y - r * r
-    t = ((n[10] + 2 * n[12] + n[14]) << sh) - 4 * (x * (n[6] + n[8])
-                                                   + y * (n[7] + n[9]))
+    t = (n[8] << sh) - 4 * (x * n[6] + y * n[7])
     t = (t << sh) + 2 * k * (n[3] + n[5]) + 4 * (
         x * x * n[3] + 2 * x * y * n[4] + y * y * n[5])
     t = (t << sh) - 4 * k * (x * n[1] + y * n[2])
@@ -397,9 +388,9 @@ def one_point_matrices(m, anchor) -> AnchoredQuadForms:
     axx = 4.0 * (nm.m20 - 2.0 * nm.m10 * xa + xa * xa)
     ayy = 4.0 * (nm.m02 - 2.0 * nm.m01 * ya + ya * ya)
     axy = 4.0 * (nm.m11 - nm.m10 * ya - nm.m01 * xa + xa * ya)
-    ax1 = -2.0 * (nm.m30 + nm.m12 - s2 * xa - nm.m10 * rho2 + rho2 * xa)
-    ay1 = -2.0 * (nm.m21 + nm.m03 - s2 * ya - nm.m01 * rho2 + rho2 * ya)
-    a11 = nm.m40 + 2.0 * nm.m22 + nm.m04 - 2.0 * s2 * rho2 + rho2 * rho2
+    ax1 = -2.0 * (nm.zx - s2 * xa - nm.m10 * rho2 + rho2 * xa)
+    ay1 = -2.0 * (nm.zy - s2 * ya - nm.m01 * rho2 + rho2 * ya)
+    a11 = nm.zz - 2.0 * s2 * rho2 + rho2 * rho2
 
     a = np.array([[axx, axy, ax1], [axy, ayy, ay1], [ax1, ay1, a11]])
     b = np.array([[1.0, 0.0, -xa], [0.0, 1.0, -ya], [-xa, -ya, rho2]])
@@ -444,80 +435,6 @@ def one_point_fit(m, anchor) -> Circle:
     raise DegeneratePencil(
         "no pencil eigenvector gives a center within "
         f"{_MAX_CENTER_SCALES:g} data scales of the anchor")
-
-
-class AnchoredObjective:
-    """One-anchor objective over center coordinates (anchor at the origin).
-
-    The anchor constraint ties dr to (dx, dy), leaving a two-variable search
-    whose radius is always the center-to-anchor distance.
-    """
-
-    def __init__(self, nm: NormalizedMoments):
-        self.nm = nm
-
-    def _parts(self, x):
-        cx, cy = float(x[0]), float(x[1])
-        re = math.hypot(cx, cy)
-        c = fit_coeffs(self.nm, Estimate(cx, cy, re))
-        nx = c.v_x + 2.0 * cx * c.v_r
-        ny = c.v_y + 2.0 * cy * c.v_r
-        wxx = c.v_xx + 2.0 * cx * c.v_xr + 4.0 * cx * cx
-        wyy = c.v_yy + 2.0 * cy * c.v_yr + 4.0 * cy * cy
-        wxy = c.v_xy + 2.0 * (cy * c.v_xr + cx * c.v_yr) + 8.0 * cx * cy
-        return c.v, nx, ny, wxx, wxy, wyy, cx, cy, re
-
-    def value(self, x) -> float:
-        v, *_, re = self._parts(x)
-        return max(v, 0.0) / (4.0 * re * re)
-
-    def hessian_proxy(self, x) -> np.ndarray:
-        v, nx, ny, wxx, wxy, wyy, cx, cy, re = self._parts(x)
-        r2 = re * re
-        r4 = r2 * r2
-        r6 = r4 * r2
-        dx_, dy_ = 2.0 * cx, 2.0 * cy
-        fxx = 2.0 * wxx / (4.0 * r2) - (2.0 * nx * dx_ + 2.0 * v) / (4.0 * r4) \
-            + v * dx_ * dx_ / (2.0 * r6)
-        fyy = 2.0 * wyy / (4.0 * r2) - (2.0 * ny * dy_ + 2.0 * v) / (4.0 * r4) \
-            + v * dy_ * dy_ / (2.0 * r6)
-        fxy = wxy / (4.0 * r2) - (nx * dy_ + ny * dx_) / (4.0 * r4) \
-            + v * dx_ * dy_ / (2.0 * r6)
-        return np.array([[fxx, fxy], [fxy, fyy]])
-
-    def line_ratio(self, x, direction) -> QuadRatio:
-        v, nx, ny, wxx, wxy, wyy, cx, cy, re = self._parts(x)
-        ax, ay = float(direction[0]), float(direction[1])
-        a0 = max(v, 0.0)
-        a1 = nx * ax + ny * ay
-        a2 = wxx * ax * ax + wxy * ax * ay + wyy * ay * ay
-        b = (4.0 * re * re, 8.0 * (cx * ax + cy * ay), 4.0 * (ax * ax + ay * ay))
-        return QuadRatio(a=(a0, a1, a2), b=b)
-
-    def apply_step(self, x, direction, t):
-        moved = np.array([x[0] + direction[0] * t, x[1] + direction[1] * t])
-        r2 = moved[0] ** 2 + moved[1] ** 2
-        if r2 <= 1e-12 * (x[0] ** 2 + x[1] ** 2):
-            return None
-        return moved
-
-
-def refine_one_point(m, anchor, start: Circle, sweeps: int = 20,
-                     tol: float = 1e-14) -> Circle:
-    """Iteratively improve a circle through the anchor without leaving the
-    constraint. The start must already pass through the anchor."""
-    xa, ya = float(anchor[0]), float(anchor[1])
-    gap = abs(math.hypot(start.cx - xa, start.cy - ya) - start.r)
-    if gap > 1e-9 * start.r:
-        raise ValueError("start circle does not pass through the anchor")
-    nm, _, _, k = _shifted_frame(m, (xa, ya), True)
-    obj = AnchoredObjective(nm)
-    x = dirsearch.minimize(obj, [math.ldexp(start.cx - xa, -k),
-                                 math.ldexp(start.cy - ya, -k)],
-                           sweeps=sweeps, tol=tol)
-    gx = math.ldexp(float(x[0]), k) + xa
-    gy = math.ldexp(float(x[1]), k) + ya
-    return Circle(gx, gy, math.hypot(gx - xa, gy - ya))
 
 
 def two_point_ratio(acc: MomentAccumulator, p1, p2
@@ -573,10 +490,8 @@ def _exact_chord_coeffs(acc: MomentAccumulator, h: float, alpha: float,
     (a, b), ea = _on_grid(alpha, beta)
     sh = -eh
     h2 = hi * hi
-    t0 = ((((n[10] + 2 * n[12] + n[14]) << 2 * sh) - 2 * h2 * (n[3] + n[5]))
-          << 2 * sh) + h2 * h2 * w
-    t1 = ((a * (n[6] + n[8]) + b * (n[7] + n[9])) << 2 * sh) \
-        - h2 * (a * n[1] + b * n[2])
+    t0 = (((n[8] << 2 * sh) - 2 * h2 * (n[3] + n[5])) << 2 * sh) + h2 * h2 * w
+    t1 = ((a * n[6] + b * n[7]) << 2 * sh) - h2 * (a * n[1] + b * n[2])
     t2 = a * a * n[3] + 2 * a * b * n[4] + b * b * n[5]
     return (_scaled_div(t0, w, -4 * sh - 4 * k),
             _scaled_div(-t1, w, ea - 2 * sh - 3 * k + 2),

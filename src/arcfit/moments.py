@@ -1,18 +1,21 @@
-"""Bivariate raw power sums up to total order four.
+"""The nine radial moment sums of weighted points or segments.
 
-Every fit in this package is computed from the sums S[g,h] = sum_i w_i *
-x_i^g * y_i^h for 0 <= g+h <= 4 (15 values; S[0,0] is the total weight).
+Every fit in this package is computed from the entries of the Kasa/Pratt
+moment matrix sum_i w_i * z_i z_i^T with z = (x^2 + y^2, x, y, 1): nine sums
+of w times
 
-The accumulator stores them exactly, as Python integers N[g,h] that share
-one binary exponent E and a fixed denominator:
+    1, x, y, x^2, xy, y^2, zx, zy, z^2       (z = x^2 + y^2),
 
-    S[g,h] = N[g,h] * 2**E / 15
+stored in that order (the first is the total weight). The accumulator
+stores them exactly, as Python integers N[i] that share one binary exponent
+E and a fixed denominator:
+
+    sum[i] = N[i] * 2**E / 15
 
 Every float is a dyadic rational m * 2**e, so point sums are integers on a
-common power-of-two grid; the 15 makes room for the 1/3 and 1/5 in the
-closed-form segment integrals. The representation is canonical (the N are
-not all even unless all are zero, and then E is 0), so equal accumulators
-compare equal. Exact sums buy three things at once:
+common power-of-two grid; the 15 makes room for the 1/3 and 1/5 in segment
+integrals. The representation is canonical (the N are not all even unless
+all are zero, and then E is 0), so equal accumulators compare equal. Exact sums buy three things at once:
 
 * merging shards is exactly commutative and associative, so accumulators
   built in parallel or split at any index agree bit for bit;
@@ -33,13 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from math import comb
 from operator import add, mul, or_, sub
 
 import numpy as np
 
 __all__ = [
-    "ORDERS",
     "DENOMINATOR",
     "MomentAccumulator",
     "NormalizedMoments",
@@ -56,19 +57,14 @@ __all__ = [
     "centroid",
 ]
 
-# Index order used everywhere: total order ascending, x-degree descending.
-ORDERS = (
-    (0, 0),
-    (1, 0), (0, 1),
-    (2, 0), (1, 1), (0, 2),
-    (3, 0), (2, 1), (1, 2), (0, 3),
-    (4, 0), (3, 1), (2, 2), (1, 3), (0, 4),
-)
-_POS = {gh: i for i, gh in enumerate(ORDERS)}
-_TOTAL = tuple(g + h for g, h in ORDERS)
+# Degree in the coordinates of each stored sum, in storage order.
+_ORDER = (0, 1, 1, 2, 2, 2, 3, 3, 4)
 
 # Common denominator of every stored sum (see the module docstring).
 DENOMINATOR = 15
+
+# Boole's rule on [0, 1] with nodes k/4: weights _BOOLE[k] / 90.
+_BOOLE = (7, 32, 12, 32, 7)
 
 # Points are converted to integers and folded in this many at a time, which
 # bounds the memory held by the per-point integer powers.
@@ -83,8 +79,9 @@ _FREE_SCALE_BITS = 128
 
 @dataclass(frozen=True)
 class MomentAccumulator:
-    """Exact power sums S[g,h] = sums[i] * 2**exp / DENOMINATOR for g+h <= 4,
-    with (g, h) = ORDERS[i]. S[0,0] is the total weight."""
+    """Exact radial sums of w * (1, x, y, xx, xy, yy, zx, zy, zz), with
+    z = x^2 + y^2: sum i is sums[i] * 2**exp / DENOMINATOR. sums[0] belongs
+    to the total weight."""
 
     sums: tuple
     exp: int = 0
@@ -93,12 +90,8 @@ class MomentAccumulator:
     def weight(self) -> float:
         return _to_float(self.sums[0], self.exp)
 
-    def s(self, g: int, h: int) -> float:
-        """Sum S[g,h] as a float."""
-        return _to_float(self.sums[_POS[g, h]], self.exp)
 
-
-_EMPTY = MomentAccumulator(sums=(0,) * 15, exp=0)
+_EMPTY = MomentAccumulator(sums=(0,) * 9, exp=0)
 
 
 def empty() -> MomentAccumulator:
@@ -159,7 +152,7 @@ def _from_grid(terms, wexp: int, grid: int) -> MomentAccumulator:
     / DENOMINATOR: one exponent for weights, one grid for coordinates."""
     e = wexp + min(0, 4 * grid)
     return _canonical(
-        [v << (wexp + grid * o - e) for v, o in zip(terms, _TOTAL)], e)
+        [v << (wexp + grid * o - e) for v, o in zip(terms, _ORDER)], e)
 
 
 def _combine(a: MomentAccumulator, b: MomentAccumulator, op) -> MomentAccumulator:
@@ -209,25 +202,17 @@ def _grid_ints(values: np.ndarray, grid: int) -> list[int]:
 
 
 def _power_sums(xs: list, ys: list, ws: list | None) -> list[int]:
-    """sum_i ws_i * xs_i^g * ys_i^h in ORDERS order (ws_i = 1 when None)."""
-    xp = [xs]
-    yp = [ys]
-    for _ in range(3):
-        xp.append(list(map(mul, xp[-1], xs)))
-        yp.append(list(map(mul, yp[-1], ys)))
+    """The nine radial sums of ws_i * (1, x, y, xx, xy, yy, zx, zy, zz) over
+    the integer points (ws_i = 1 when None)."""
+    zs = list(map(add, map(mul, xs, xs), map(mul, ys, ys)))
     if ws is None:
-        px = [None] + xp
+        w, wx, wy, wz = len(xs), xs, ys, zs
     else:
-        px = [ws] + [list(map(mul, ws, col)) for col in xp]
-    out = []
-    for g, h in ORDERS:
-        if h == 0:
-            out.append(len(xs) if px[g] is None else sum(px[g]))
-        elif px[g] is None:
-            out.append(sum(yp[h - 1]))
-        else:
-            out.append(sum(map(mul, px[g], yp[h - 1])))
-    return out
+        w = sum(ws)
+        wx, wy, wz = (list(map(mul, ws, c)) for c in (xs, ys, zs))
+    return [w, sum(wx), sum(wy),
+            sum(map(mul, wx, xs)), sum(map(mul, wx, ys)), sum(map(mul, wy, ys)),
+            sum(map(mul, wz, xs)), sum(map(mul, wz, ys)), sum(map(mul, wz, zs))]
 
 
 def _point(x: float, y: float, w: float) -> MomentAccumulator:
@@ -288,7 +273,7 @@ def from_points(points, weights=None) -> MomentAccumulator:
 
     grid = _grid(np.concatenate((xs, ys)))
     wexp = 0 if ws is None else _grid(ws)
-    totals = [0] * 15
+    totals = [0] * 9
     for lo in range(0, xs.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
         iw = None if ws is None else _grid_ints(ws[part], wexp)
@@ -298,24 +283,12 @@ def from_points(points, weights=None) -> MomentAccumulator:
     return _from_grid([DENOMINATOR * t for t in totals], wexp, grid)
 
 
-# For each (g,h): closed form of integral_0^1 (x0+t*dx)^g (y0+t*dy)^h dt as
-# sum over (k,m) of C(g,k)*C(h,m)/(k+m+1) * x0^(g-k) dx^k y0^(h-m) dy^m.
-# Coefficients are stored times 60 = 4 * DENOMINATOR, which clears every
-# k+m+1 <= 5; the 4 goes into the exponent.
-_SEGMENT_COEFFS = {
-    (g, h): tuple(
-        (k, m, 60 * comb(g, k) * comb(h, m) // (k + m + 1))
-        for k in range(g + 1)
-        for m in range(h + 1)
-    )
-    for g, h in ORDERS
-}
-
-
 def accumulate_segment(acc: MomentAccumulator, p0, p1) -> MomentAccumulator:
-    """Fold in a line segment as the arc-length integral of each monomial.
+    """Fold in a line segment as the arc-length integral of each sum.
 
-    The segment contributes integral x^g y^h ds, so its weight is its length.
+    The segment contributes integral f ds, so its weight is its length. Along
+    the segment every integrand is a polynomial of degree at most four, so
+    Boole's rule on five equally spaced points integrates it exactly.
     """
     x0, y0 = float(p0[0]), float(p0[1])
     x1, y1 = float(p1[0]), float(p1[1])
@@ -324,24 +297,16 @@ def accumulate_segment(acc: MomentAccumulator, p0, p1) -> MomentAccumulator:
         raise ValueError("zero-length segment")
     dx, dy = x1 - x0, y1 - y0
     length, lexp = _dyadic(math.hypot(dx, dy))
-
-    parts = [_dyadic(v) for v in (x0, y0, dx, dy)]
-    grid = min(e for _, e in parts)
-    qx0, qy0, qdx, qdy = (m << (e - grid) for m, e in parts)
-    x0p, y0p, dxp, dyp = [1], [1], [1], [1]
-    for _ in range(4):
-        x0p.append(x0p[-1] * qx0)
-        y0p.append(y0p[-1] * qy0)
-        dxp.append(dxp[-1] * qdx)
-        dyp.append(dyp[-1] * qdy)
-
-    terms = []
-    for g, h in ORDERS:
-        total = 0
-        for k, m, coeff in _SEGMENT_COEFFS[g, h]:
-            total += coeff * x0p[g - k] * dxp[k] * y0p[h - m] * dyp[m]
-        terms.append(length * total)
-    return _combine(acc, _from_grid(terms, lexp - 2, grid), add)
+    # Node k is (x0, y0) + (k/4) (dx, dy), on the grid 2**(grid - 2). On the
+    # grid 2**grid each integrand is a polynomial in t with integer
+    # coefficients, so its integral is a multiple of 1/60 there; hence each
+    # node sum is divisible by 3, and 90 = 3 * 2 * DENOMINATOR.
+    (qx0, qy0, qdx, qdy), grid = _on_grid(x0, y0, dx, dy)
+    terms = _power_sums([4 * qx0 + k * qdx for k in range(5)],
+                        [4 * qy0 + k * qdy for k in range(5)],
+                        [c * length for c in _BOOLE])
+    return _combine(acc, _from_grid([t // 3 for t in terms], lexp - 1,
+                                    grid - 2), add)
 
 
 def from_segments(segments) -> MomentAccumulator:
@@ -361,42 +326,20 @@ def difference(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
     return _combine(a, b, sub)
 
 
-def _shift_steps(lines) -> tuple:
-    """(dst, src) updates v[dst] += a * v[src] that apply the binomial
-    shift q_g = sum_k C(g,k) a^(g-k) p_k along each index line: the Pascal
-    matrix factored into bidiagonal passes."""
-    steps = []
-    for line in lines:
-        for i in range(1, len(line)):
-            for j in range(len(line) - 1, i - 1, -1):
-                steps.append((line[j], line[j - 1]))
-    return tuple(steps)
-
-
-# Index lines in ORDERS positions: fixed h with g ascending (x shift), and
-# fixed g with h ascending (y shift).
-_X_STEPS = _shift_steps([[_POS[g, h] for g in range(5 - h)] for h in range(4)])
-_Y_STEPS = _shift_steps([[_POS[g, h] for h in range(5 - g)] for g in range(4)])
-
-
-def _shift_sums(vals, dx, dy):
-    """Binomial re-expansion of float power sums about an origin shifted by
-    (dx, dy); the normalized convenience path."""
-    dxp = [1.0, dx]
-    dyp = [1.0, dy]
-    for _ in range(3):
-        dxp.append(dxp[-1] * dx)
-        dyp.append(dyp[-1] * dy)
-    out = []
-    for g, h in ORDERS:
-        total = 0.0
-        for k in range(g + 1):
-            ck = comb(g, k)
-            for m in range(h + 1):
-                c = ck * comb(h, m)
-                total += c * dxp[g - k] * dyp[h - m] * vals[_POS[k, m]]
-        out.append(total)
-    return out
+def _shift(v, a, b):
+    """The nine sums (w, x, y, xx, xy, yy, zx, zy, zz) of the points moved by
+    (a, b), from those of the points; exact on ints. Per point, x' = x + a,
+    y' = y + b and z' = z + 2(a x' + b y') - (a^2 + b^2)."""
+    w, x, y, xx, xy, yy, zx, zy, zz = v
+    c = a * a + b * b
+    z = xx + yy
+    x1, y1 = x + a * w, y + b * w
+    xx1, xy1, yy1 = xx + a * (x + x1), xy + a * y + b * x1, yy + b * (y + y1)
+    zx1 = zx + a * z + 2 * (a * xx1 + b * xy1) - c * x1
+    zy1 = zy + b * z + 2 * (a * xy1 + b * yy1) - c * y1
+    zz1 = (zz + 2 * (a * zx + b * zy + a * zx1 + b * zy1)
+           + c * (z - xx1 - yy1))
+    return w, x1, y1, xx1, xy1, yy1, zx1, zy1, zz1
 
 
 def translate(acc: MomentAccumulator, dx: float, dy: float) -> MomentAccumulator:
@@ -406,19 +349,14 @@ def translate(acc: MomentAccumulator, dx: float, dy: float) -> MomentAccumulator
         return acc
     (mx, ex), (my, ey) = _dyadic(dx), _dyadic(dy)
     # With dx = a * 2**d and dy = b * 2**d, read order-o sums on the grid
-    # 2**(exp + d*o) so that the binomial shift is integer-only, then bring
-    # every order back to the common exponent exp + 4*d.
+    # 2**(exp + d*o) so that the shift is integer-only, then bring every
+    # order back to the common exponent exp + 4*d.
     d = min(ex, ey, 0)
     a, b = mx << (ex - d), my << (ey - d)
-    v = [n << (-d * o) for n, o in zip(acc.sums, _TOTAL)] if d else list(acc.sums)
-    if a:
-        for dst, src in _X_STEPS:
-            v[dst] += a * v[src]
-    if b:
-        for dst, src in _Y_STEPS:
-            v[dst] += b * v[src]
+    v = [n << (-d * o) for n, o in zip(acc.sums, _ORDER)] if d else acc.sums
+    v = _shift(v, a, b)
     if d:
-        v = [n << (-d * (4 - o)) for n, o in zip(v, _TOTAL)]
+        v = [n << (-d * (4 - o)) for n, o in zip(v, _ORDER)]
     return _canonical(v, acc.exp + 4 * d)
 
 
@@ -430,9 +368,10 @@ def centroid(acc: MomentAccumulator) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class NormalizedMoments:
-    """Weight-normalized raw moments M[g,h] = S[g,h] / W as floats.
+    """Weight-normalized radial sums as floats: the means of x, y, xx, xy,
+    yy, zx, zy and zz (z = x^2 + y^2) and the total weight w.
 
-    m00 is 1 by construction and not stored.
+    The normalized weight is 1 by construction and not stored.
     """
 
     w: float
@@ -441,32 +380,21 @@ class NormalizedMoments:
     m20: float
     m11: float
     m02: float
-    m30: float
-    m21: float
-    m12: float
-    m03: float
-    m40: float
-    m31: float
-    m22: float
-    m13: float
-    m04: float
-
-    @classmethod
-    def from_values(cls, w: float, vals) -> "NormalizedMoments":
-        return cls(w, *vals[1:])
+    zx: float
+    zy: float
+    zz: float
 
     def values(self) -> list[float]:
         return [1.0, self.m10, self.m01, self.m20, self.m11, self.m02,
-                self.m30, self.m21, self.m12, self.m03,
-                self.m40, self.m31, self.m22, self.m13, self.m04]
+                self.zx, self.zy, self.zz]
 
     def translated(self, dx: float, dy: float) -> "NormalizedMoments":
-        """Float binomial shift. Adequate for moderate offsets; for large
-        offsets translate the exact accumulator instead."""
+        """Float shift. Adequate for moderate offsets; for large offsets
+        translate the exact accumulator instead."""
         if dx == 0.0 and dy == 0.0:
             return self
-        return NormalizedMoments.from_values(
-            self.w, _shift_sums(self.values(), float(dx), float(dy)))
+        return NormalizedMoments(
+            self.w, *_shift(self.values(), float(dx), float(dy))[1:])
 
     @property
     def mean(self) -> tuple[float, float]:
@@ -477,18 +405,18 @@ def normalized(acc: MomentAccumulator, scale_exp: int = 0) -> NormalizedMoments:
     """Normalize by total weight. Rejects the empty accumulator.
 
     With scale_exp = k the moments are those of the points scaled by 2**-k
-    (order g+h divided by 2**(k*(g+h))), still correctly rounded; the weight
-    is not scaled.
+    (a sum of degree o divided by 2**(k*o)), still correctly rounded; the
+    weight is not scaled.
     """
     w = _weight_int(acc)
     if scale_exp == 0:
         vals = [n / w for n in acc.sums]
     else:
         vals = []
-        for n, o in zip(acc.sums, _TOTAL):
+        for n, o in zip(acc.sums, _ORDER):
             s = -scale_exp * o
             vals.append((n << s) / w if s >= 0 else n / (w << -s))
-    return NormalizedMoments.from_values(acc.weight, vals)
+    return NormalizedMoments(acc.weight, *vals[1:])
 
 
 def scale_exponent(acc: MomentAccumulator) -> int:

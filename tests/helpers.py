@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import arcfit as af
-from arcfit.fit import CircleObjective, _shifted_frame
+from arcfit.fit import CircleObjective, Estimate, _shifted_frame, fit_coeffs
 from arcfit.quadratio import QuadRatio, ratio_value
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -345,6 +345,84 @@ def free_fit_with_state(acc, sweeps, tol):
     return af.Circle(math.ldexp(float(x[0]), k) + cx,
                      math.ldexp(float(x[1]), k) + cy,
                      math.ldexp(float(x[2]), k)), state
+
+
+# ---------------------------------------------------------------------------
+# constrained one-anchor refinement (oracle for the one-anchor pencil)
+# ---------------------------------------------------------------------------
+
+class AnchoredObjective:
+    """One-anchor objective over center coordinates (anchor at the origin).
+
+    The anchor constraint ties dr to (dx, dy), leaving a two-variable search
+    whose radius is always the center-to-anchor distance.
+    """
+
+    def __init__(self, nm: af.NormalizedMoments):
+        self.nm = nm
+
+    def _parts(self, x):
+        cx, cy = float(x[0]), float(x[1])
+        re = math.hypot(cx, cy)
+        c = fit_coeffs(self.nm, Estimate(cx, cy, re))
+        nx = c.v_x + 2.0 * cx * c.v_r
+        ny = c.v_y + 2.0 * cy * c.v_r
+        wxx = c.v_xx + 2.0 * cx * c.v_xr + 4.0 * cx * cx
+        wyy = c.v_yy + 2.0 * cy * c.v_yr + 4.0 * cy * cy
+        wxy = c.v_xy + 2.0 * (cy * c.v_xr + cx * c.v_yr) + 8.0 * cx * cy
+        return c.v, nx, ny, wxx, wxy, wyy, cx, cy, re
+
+    def value(self, x) -> float:
+        v, *_, re = self._parts(x)
+        return max(v, 0.0) / (4.0 * re * re)
+
+    def hessian_proxy(self, x) -> np.ndarray:
+        v, nx, ny, wxx, wxy, wyy, cx, cy, re = self._parts(x)
+        r2 = re * re
+        r4 = r2 * r2
+        r6 = r4 * r2
+        dx_, dy_ = 2.0 * cx, 2.0 * cy
+        fxx = 2.0 * wxx / (4.0 * r2) - (2.0 * nx * dx_ + 2.0 * v) / (4.0 * r4) \
+            + v * dx_ * dx_ / (2.0 * r6)
+        fyy = 2.0 * wyy / (4.0 * r2) - (2.0 * ny * dy_ + 2.0 * v) / (4.0 * r4) \
+            + v * dy_ * dy_ / (2.0 * r6)
+        fxy = wxy / (4.0 * r2) - (nx * dy_ + ny * dx_) / (4.0 * r4) \
+            + v * dx_ * dy_ / (2.0 * r6)
+        return np.array([[fxx, fxy], [fxy, fyy]])
+
+    def line_ratio(self, x, direction) -> QuadRatio:
+        v, nx, ny, wxx, wxy, wyy, cx, cy, re = self._parts(x)
+        ax, ay = float(direction[0]), float(direction[1])
+        a0 = max(v, 0.0)
+        a1 = nx * ax + ny * ay
+        a2 = wxx * ax * ax + wxy * ax * ay + wyy * ay * ay
+        b = (4.0 * re * re, 8.0 * (cx * ax + cy * ay), 4.0 * (ax * ax + ay * ay))
+        return QuadRatio(a=(a0, a1, a2), b=b)
+
+    def apply_step(self, x, direction, t):
+        moved = np.array([x[0] + direction[0] * t, x[1] + direction[1] * t])
+        r2 = moved[0] ** 2 + moved[1] ** 2
+        if r2 <= 1e-12 * (x[0] ** 2 + x[1] ** 2):
+            return None
+        return moved
+
+
+def refine_one_point(m, anchor, start: af.Circle, sweeps: int = 20,
+                     tol: float = 1e-14) -> af.Circle:
+    """Iteratively improve a circle through the anchor without leaving the
+    constraint. The start must already pass through the anchor."""
+    xa, ya = float(anchor[0]), float(anchor[1])
+    gap = abs(math.hypot(start.cx - xa, start.cy - ya) - start.r)
+    if gap > 1e-9 * start.r:
+        raise ValueError("start circle does not pass through the anchor")
+    nm, _, _, k = _shifted_frame(m, (xa, ya), True)
+    obj = AnchoredObjective(nm)
+    x = af.minimize(obj, [math.ldexp(start.cx - xa, -k),
+                                 math.ldexp(start.cy - ya, -k)],
+                           sweeps=sweeps, tol=tol)
+    gx = math.ldexp(float(x[0]), k) + xa
+    gy = math.ldexp(float(x[1]), k) + ya
+    return af.Circle(gx, gy, math.hypot(gx - xa, gy - ya))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from arcfit.quadratio import minimize_ratio
 
 from helpers import (brute_compress, circle_points, extent, noisy_arc,
                      parcel_polyline, random_admissible_ratio, random_circle,
-                     scan_ratio_minimum, two_point_grid_oracle)
+                     refine_one_point, scan_ratio_minimum,
+                     two_point_grid_oracle)
 from test_compress import CountingPolyline, random_polyline
 
 
@@ -170,7 +171,7 @@ def test_08_one_point_pencil_vs_refinement():
             projected = af.Circle(start.cx, start.cy,
                                   math.hypot(start.cx - anchor[0],
                                              start.cy - anchor[1]))
-            refined = af.refine_one_point(acc, anchor, projected)
+            refined = refine_one_point(acc, anchor, projected)
             assert abs(direct.cx - refined.cx) <= 1e-6
             assert abs(direct.cy - refined.cy) <= 1e-6
             for got in (direct, refined):

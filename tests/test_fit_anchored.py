@@ -5,11 +5,12 @@ import pytest
 
 import arcfit as af
 from arcfit.errors import DegeneratePencil, NoArcExists
-from arcfit.fit import AnchoredObjective, one_point_matrices
+from arcfit.fit import one_point_matrices
 from arcfit.quadratio import minimize_ratio, ratio_value
 
-from helpers import (circle_points, noisy_arc, pp_anchored, pp_two_point,
-                     random_circle, rotate, two_point_grid_oracle)
+from helpers import (AnchoredObjective, circle_points, noisy_arc, pp_anchored,
+                     pp_two_point, random_circle, refine_one_point, rotate,
+                     two_point_grid_oracle)
 
 
 class TestOnePointMatrices:
@@ -127,7 +128,7 @@ class TestRefineOnePoint:
         pts = circle_points(af.Circle(1, 2, 1.5), 0.2, 3.0, 20)
         anchor = tuple(pts[0])
         start = af.Circle(1, 2, math.hypot(1 - anchor[0], 2 - anchor[1]))
-        got = af.refine_one_point(af.from_points(pts), anchor, start)
+        got = refine_one_point(af.from_points(pts), anchor, start)
         assert (got.cx, got.cy) == pytest.approx((1, 2), abs=1e-11)
         assert got.r == pytest.approx(start.r, rel=1e-11)
 
@@ -136,7 +137,7 @@ class TestRefineOnePoint:
         anchor = tuple(pts[5])
         cx, cy = -1 + 0.3, 0.5 - 0.2
         start = af.Circle(cx, cy, math.hypot(cx - anchor[0], cy - anchor[1]))
-        got = af.refine_one_point(af.from_points(pts), anchor, start)
+        got = refine_one_point(af.from_points(pts), anchor, start)
         assert (got.cx, got.cy) == pytest.approx((-1, 0.5), abs=1e-9)
         assert got.r == pytest.approx(2.0, rel=1e-9)
 
@@ -152,7 +153,7 @@ class TestRefineOnePoint:
             projected = af.Circle(start.cx, start.cy,
                                   math.hypot(start.cx - anchor[0],
                                              start.cy - anchor[1]))
-            refined = af.refine_one_point(acc, anchor, projected)
+            refined = refine_one_point(acc, anchor, projected)
             assert (refined.cx, refined.cy) == pytest.approx(
                 (direct.cx, direct.cy), abs=1e-6)
 
@@ -162,14 +163,14 @@ class TestRefineOnePoint:
         anchor = tuple(pts[0])
         cx, cy = 0.4, -0.3
         start = af.Circle(cx, cy, math.hypot(cx - anchor[0], cy - anchor[1]))
-        got = af.refine_one_point(af.from_points(pts), anchor, start)
+        got = refine_one_point(af.from_points(pts), anchor, start)
         assert pp_anchored(pts, anchor, got.cx, got.cy) <= \
             pp_anchored(pts, anchor, start.cx, start.cy) * (1 + 1e-12)
 
     def test_start_must_pass_through_anchor(self):
         acc = af.from_points([(0, 1), (1, 0), (0, -1)])
         with pytest.raises(ValueError):
-            af.refine_one_point(acc, (2.0, 0.0), af.Circle(0, 0, 1))
+            refine_one_point(acc, (2.0, 0.0), af.Circle(0, 0, 1))
 
     def test_anchored_hessian_matches_finite_differences(self):
         rng = np.random.default_rng(9)

@@ -1,4 +1,5 @@
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,22 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import arcfit as af
-from arcfit.moments import DENOMINATOR, ORDERS, scale_exponent
+from arcfit.moments import DENOMINATOR, scale_exponent
+
+# The stored sums, in storage order, and their degree in the coordinates.
+NAMES = ("w", "x", "y", "xx", "xy", "yy", "zx", "zy", "zz")
+DEGREE = (0, 1, 1, 2, 2, 2, 3, 3, 4)
+
+
+def radial(x, y):
+    """The summands of the stored sums at one point, z = x^2 + y^2."""
+    z = x * x + y * y
+    return (1, x, y, x * x, x * y, y * y, z * x, z * y, z * z)
+
+
+def stored(acc):
+    """The accumulator's sums as exact Fractions, by name."""
+    return dict(zip(NAMES, exact(acc)))
 
 
 def coords(n):
@@ -19,25 +35,20 @@ def coords(n):
 class TestAccumulatePoint:
     def test_single_point_powers(self):
         acc = af.accumulate_point(af.empty(), (1.0, 2.0))
-        assert acc.s(1, 0) == 1.0
-        assert acc.s(0, 1) == 2.0
-        assert acc.s(2, 0) == 1.0
-        assert acc.s(1, 1) == 2.0
-        assert acc.s(0, 2) == 4.0
+        assert stored(acc) == dict(w=1, x=1, y=2, xx=1, xy=2, yy=4,
+                                   zx=5, zy=10, zz=25)
         assert acc.weight == 1.0
 
     def test_symmetric_pair(self):
         acc = af.accumulate_point(af.empty(), (1.0, 0.0))
         acc = af.accumulate_point(acc, (-1.0, 0.0))
-        assert acc.s(1, 0) == 0.0
-        assert acc.s(2, 0) == 2.0
-        assert acc.s(4, 0) == 2.0
+        assert stored(acc) == dict(w=2, x=0, y=0, xx=2, xy=0, yy=0,
+                                   zx=0, zy=0, zz=2)
         assert acc.weight == 2.0
 
     def test_weighted_zero_point(self):
         acc = af.accumulate_point(af.empty(), (0.0, 0.0), w=3.0)
-        assert acc.s(0, 0) == 3.0
-        assert all(acc.s(g, h) == 0.0 for g, h in ORDERS if (g, h) != (0, 0))
+        assert exact(acc) == [3] + [0] * 8
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -62,16 +73,18 @@ class TestAccumulateSegment:
     def test_unit_x_segment(self):
         acc = af.accumulate_segment(af.empty(), (0, 0), (1, 0))
         assert acc.weight == pytest.approx(1.0, abs=0)
-        assert acc.s(1, 0) == pytest.approx(0.5)
-        assert acc.s(2, 0) == pytest.approx(1 / 3)
-        assert acc.s(3, 0) == pytest.approx(1 / 4)
-        assert acc.s(4, 0) == pytest.approx(1 / 5)
+        got = stored(acc)
+        assert got["x"] == pytest.approx(0.5)
+        assert got["xx"] == pytest.approx(1 / 3)
+        assert got["zx"] == pytest.approx(1 / 4)
+        assert got["zz"] == pytest.approx(1 / 5)
 
     def test_vertical_segment(self):
         acc = af.accumulate_segment(af.empty(), (0, 0), (0, 2))
         assert acc.weight == pytest.approx(2.0)
-        assert acc.s(0, 1) == pytest.approx(2.0)
-        assert acc.s(0, 2) == pytest.approx(8 / 3)
+        got = stored(acc)
+        assert got["y"] == pytest.approx(2.0)
+        assert got["yy"] == pytest.approx(8 / 3)
 
     def test_diagonal_xy_moment_vs_gauss_legendre(self):
         # arc-length integral of x*y over the segment (0,0)-(1,1)
@@ -79,8 +92,9 @@ class TestAccumulateSegment:
         t = 0.5 * (nodes + 1.0)
         oracle = math.sqrt(2.0) * 0.5 * float(np.sum(weights * t * t))
         acc = af.accumulate_segment(af.empty(), (0, 0), (1, 1))
-        assert acc.s(1, 1) == pytest.approx(oracle, abs=1e-14)
-        assert acc.s(1, 1) == pytest.approx(math.sqrt(2) / 3, abs=1e-14)
+        xy = float(stored(acc)["xy"])
+        assert xy == pytest.approx(oracle, abs=1e-14)
+        assert xy == pytest.approx(math.sqrt(2) / 3, abs=1e-14)
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
@@ -98,12 +112,12 @@ class TestAccumulateSegment:
                 continue
             acc = af.accumulate_segment(af.empty(), p0, p1)
             length = math.hypot(*(p1 - p0))
-            for g, h in ORDERS:
+            for i, got in enumerate(exact(acc)):
                 ref, _ = quad(
-                    lambda t: ((p0[0] + t * (p1[0] - p0[0])) ** g
-                               * (p0[1] + t * (p1[1] - p0[1])) ** h * length),
+                    lambda t: radial(p0[0] + t * (p1[0] - p0[0]),
+                                     p0[1] + t * (p1[1] - p0[1]))[i] * length,
                     0.0, 1.0, epsabs=1e-14, epsrel=1e-14)
-                assert acc.s(g, h) == pytest.approx(ref, abs=1e-12)
+                assert float(got) == pytest.approx(ref, abs=1e-12)
 
 
 class TestMerge:
@@ -137,8 +151,7 @@ class TestTranslate:
         acc = af.accumulate_point(af.empty(), (3.0, 4.0))
         out = af.translate(acc, -3.0, -4.0)
         assert out.weight == 1.0
-        for key in ((1, 0), (0, 1), (2, 0), (0, 2)):
-            assert out.s(*key) == 0.0
+        assert exact(out) == [1] + [0] * 8
 
     def test_zero_shift_is_identity(self):
         acc = af.from_points([(1, 2), (-3, 5), (0.5, 0.5)])
@@ -149,9 +162,8 @@ class TestTranslate:
         pts = rng.normal(0, 4, (50, 2))
         shifted = af.translate(af.from_points(pts), 5.0, -7.0)
         rebuilt = af.from_points(pts + np.array([5.0, -7.0]))
-        for g, h in ORDERS:
-            a, b = shifted.s(g, h), rebuilt.s(g, h)
-            assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
+        for a, b in zip(exact(shifted), exact(rebuilt)):
+            assert float(a) == pytest.approx(float(b), rel=1e-9, abs=1e-9)
 
     @given(coords(1),
            st.floats(-50, 50), st.floats(-50, 50))
@@ -162,6 +174,12 @@ class TestTranslate:
             [(x + dx, y + dy) for x, y in pts]))
         for a, b in zip(lhs.values(), rhs.values()):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
+        # the float shift loses what its inputs' rounding leaves at the
+        # data's scale, so its absolute error is measured against that scale
+        scale = 1.0 + max(abs(v) for p in pts for v in p) + max(abs(dx), abs(dy))
+        floated = af.normalized(acc).translated(dx, dy)
+        for a, b, o in zip(floated.values(), rhs.values(), DEGREE):
+            assert a == pytest.approx(b, rel=1e-9, abs=1e-9 * scale ** o)
 
 
 class TestNormalized:
@@ -238,20 +256,21 @@ weights = st.one_of(st.just(1.0), st.floats(5e-324, 1e300))
 
 
 def exact(acc):
-    """The accumulator's sums as Fractions, in ORDERS order."""
+    """The accumulator's sums as Fractions, in storage order."""
     scale = Fraction(2) ** acc.exp / DENOMINATOR
     return [n * scale for n in acc.sums]
 
 
 def oracle_points(pts, ws=None, dx=0.0, dy=0.0):
-    """sum w * (x+dx)^g * (y+dy)^h over the points, in exact arithmetic."""
+    """The stored sums of the points moved by (dx, dy), in exact
+    arithmetic."""
     ws = [1.0] * len(pts) if ws is None else ws
     fx, fy = Fraction(dx), Fraction(dy)
-    out = [Fraction(0)] * len(ORDERS)
+    out = [Fraction(0)] * len(NAMES)
     for (x, y), w in zip(pts, ws):
-        qx, qy, qw = Fraction(x) + fx, Fraction(y) + fy, Fraction(w)
-        for i, (g, h) in enumerate(ORDERS):
-            out[i] += qw * qx ** g * qy ** h
+        qw = Fraction(w)
+        for i, v in enumerate(radial(Fraction(x) + fx, Fraction(y) + fy)):
+            out[i] += qw * v
     return out
 
 
@@ -264,21 +283,18 @@ def poly_mul(p, q):
 
 
 def oracle_segment(p0, p1):
-    """Arc-length integral of x^g y^h over the segment: expand the integrand
-    as a polynomial in t on [0, 1] and integrate term by term."""
+    """Arc-length integral of each stored sum's summand over the segment:
+    expand it as a polynomial in t on [0, 1] and integrate term by term."""
     x0, y0 = Fraction(p0[0]), Fraction(p0[1])
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]   # float differences, as stored
     length = Fraction(math.hypot(dx, dy))
     lx, ly = [x0, Fraction(dx)], [y0, Fraction(dy)]
-    out = []
-    for g, h in ORDERS:
-        poly = [Fraction(1)]
-        for _ in range(g):
-            poly = poly_mul(poly, lx)
-        for _ in range(h):
-            poly = poly_mul(poly, ly)
-        out.append(length * sum(c / (j + 1) for j, c in enumerate(poly)))
-    return out
+    xx, yy = poly_mul(lx, lx), poly_mul(ly, ly)
+    lz = [a + b for a, b in zip(xx, yy)]
+    polys = ([Fraction(1)], lx, ly, xx, poly_mul(lx, ly), yy,
+             poly_mul(lz, lx), poly_mul(lz, ly), poly_mul(lz, lz))
+    return [length * sum(c / (j + 1) for j, c in enumerate(poly))
+            for poly in polys]
 
 
 def oracle_float(q):
@@ -349,15 +365,13 @@ class TestFractionOracle:
         else:
             assert af.normalized(acc).values() == want
         assert outcome(lambda: acc.weight) == oracle_float(sums[0])
-        for i, (g, h) in enumerate(ORDERS):
-            assert outcome(lambda: acc.s(g, h)) == oracle_float(sums[i])
 
     @given(mixed_points, st.integers(-1100, 1100))
     def test_scaled_normalization(self, pts, k):
         acc = af.from_points(pts)
         sums = oracle_points(pts)
-        want = [oracle_float(s / sums[0] / Fraction(2) ** (k * (g + h)))
-                for s, (g, h) in zip(sums, ORDERS)]
+        want = [oracle_float(s / sums[0] / Fraction(2) ** (k * o))
+                for s, o in zip(sums, DEGREE)]
         if any(isinstance(v, type) for v in want):
             with pytest.raises(OverflowError):
                 af.normalized(acc, k)
@@ -374,3 +388,11 @@ class TestFractionOracle:
             assert 0.5 < math.sqrt(nm.m20 + nm.m02) < 2.0
             assert all(math.isfinite(v) and (v == 0.0 or abs(v) > 1e-3)
                        for v in nm.values())
+
+
+def test_public_names_resolve():
+    for module in (af, af.moments):
+        names = module.__all__
+        assert len(set(names)) == len(names)
+        for name in names:
+            assert not isinstance(getattr(module, name), types.ModuleType), name
