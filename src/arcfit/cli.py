@@ -95,6 +95,9 @@ def _cmd_fit(args) -> int:
     if len(args.through) > 2:
         print("error: at most two --through anchors", file=sys.stderr)
         return 2
+    if len(points) == 0:
+        print(f"error: {args.input}: no points", file=sys.stderr)
+        return 2
     acc = from_points(points)
     if len(args.through) == 0:
         mode = "free"

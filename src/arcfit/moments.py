@@ -25,10 +25,20 @@ all are zero, and then E is 0), so equal accumulators compare equal. Exact sums 
   at full precision, instead of the noise a float re-expansion would leave.
 
 Merge, difference and translation are integer adds, shifts and products;
-there is no gcd work anywhere. Normalization to floats happens once, at fit
-time, by correctly rounded integer division, and can rescale the points by
-an exact power of two first so that fourth-order moments of very small or
-very large data stay inside the float range.
+there is no gcd work anywhere. A batch of unit-weight points is summed with
+float64 matrix products that are exact (after Ozaki, Ogita, Oishi and Rump,
+"Error-free transformations of matrix multiplication by using fast routines
+of matrix multiplication", Numer. Algorithms 59, 2012): each grid integer is
+split into 16-bit limbs held in floats, the limbs of z = x^2 + y^2 come from
+a limb convolution with one carry step, and one Gram product per block of
+2048 rows gives every limb dot product. Every limb product is an integer
+below 2**40.2, so every partial sum is an integer below 2**53, which float64
+adds exactly in any order; the nine sums are recombined from the limb sums
+with Python ints. Weighted batches, batches wider than 128 bits, single
+points and segments take Python-int products instead. Normalization to
+floats happens once, at fit time, by correctly rounded integer division, and
+can rescale the points by an exact power of two first so that fourth-order
+moments of very small or very large data stay inside the float range.
 """
 
 from __future__ import annotations
@@ -69,6 +79,17 @@ _BOOLE = (7, 32, 12, 32, 7)
 # Points are converted to integers and folded in this many at a time, which
 # bounds the memory held by the per-point integer powers.
 _CHUNK = 256
+
+# Unit-weight batches whose grid integers are below 2**_LIMB_WIDTH are summed
+# by the limb kernel (_limb_sums): at most eight 16-bit limbs a coordinate.
+_LIMB_WIDTH = 128
+# Rows per limb Gram product. Every product of two limb columns is below
+# 2**40.2, so a sum of 2**11 of them stays below 2**53 and float64 adds it
+# exactly in any order; the block also bounds the kernel's memory.
+_BLOCK = 2048
+# 2**(16 k) as Python ints, to recombine limb sums exactly.
+_LIMB_POW = np.array([1 << 16 * k for k in range(2 * _LIMB_WIDTH // 16)],
+                     dtype=object)
 
 # Data whose mean squared distance from the frame origin lies within
 # 2**(+-_FREE_SCALE_BITS) is normalized without rescaling. The fitters take
@@ -215,6 +236,62 @@ def _power_sums(xs: list, ys: list, ws: list | None) -> list[int]:
             sum(map(mul, wz, xs)), sum(map(mul, wz, ys)), sum(map(mul, wz, zs))]
 
 
+def _limbs(ints: np.ndarray, n_limbs: int) -> np.ndarray:
+    """|ints| (float integers below 2**(16 n_limbs)) as an (n, n_limbs)
+    array of 16-bit limbs, least significant first. Exact: scaling by a
+    power of two, floor, and a difference that is a small integer."""
+    scale = np.ldexp(1.0, -16 * np.arange(n_limbs + 1))
+    q = np.floor(np.abs(ints)[:, None] * scale)
+    return q[:, :-1] - 65536.0 * q[:, 1:]
+
+
+def _limb_block(xi: np.ndarray, yi: np.ndarray, n_limbs: int) -> np.ndarray:
+    """Rows [1, sign(x) x limbs, sign(y) y limbs, z limbs] of the integer
+    points (xi, yi), z = x^2 + y^2, as float64; Gram products of these
+    columns are the limb products of the radial sums."""
+    xl, yl = _limbs(xi, n_limbs), _limbs(yi, n_limbs)
+    # z's limb convolution: column j sums the products of limbs a + b = j,
+    # at most 16 products below 2**32 each.
+    z = np.zeros((xi.size, 2 * n_limbs))
+    for a in range(n_limbs):
+        z[:, a:a + n_limbs] += xl[:, a:a + 1] * xl + yl[:, a:a + 1] * yl
+    # One carry step leaves every z limb below 2**16 + 2**20.
+    carry = np.floor(z * 2.0 ** -16)
+    z -= 65536.0 * carry
+    z[:, 1:] += carry[:, :-1]
+    return np.hstack((np.ones((xi.size, 1)), np.sign(xi)[:, None] * xl,
+                      np.sign(yi)[:, None] * yl, z))
+
+
+def _limb_sums(xs: np.ndarray, ys: np.ndarray, grid: int,
+               width: int) -> list[int]:
+    """_power_sums of the integer points xs / 2**grid, ys / 2**grid, all
+    below 2**width <= 2**_LIMB_WIDTH in magnitude, with unit weights.
+
+    Each block of rows is split into limbs (_limb_block) and one float64
+    Gram product gives every limb dot product exactly. The nine sums are
+    then recombined from the limb sums with Python ints.
+    """
+    n_limbs = max(1, -(-width // 16))
+    gram = 0
+    for lo in range(0, xs.size, _BLOCK):
+        rows = _limb_block(np.ldexp(xs[lo:lo + _BLOCK], -grid),
+                           np.ldexp(ys[lo:lo + _BLOCK], -grid), n_limbs)
+        gram = gram + (rows.T @ rows).astype(np.int64).astype(object)
+    one, x, y, z = (slice(0, 1), slice(1, 1 + n_limbs),
+                    slice(1 + n_limbs, 1 + 2 * n_limbs),
+                    slice(1 + 2 * n_limbs, 1 + 4 * n_limbs))
+
+    def value(a: slice, b: slice) -> int:
+        """Sum over limbs i of a, j of b of gram * 2**(16 (i + j))."""
+        block = gram[a, b]
+        return int(_LIMB_POW[:block.shape[0]] @ block
+                   @ _LIMB_POW[:block.shape[1]])
+
+    return [value(one, one), value(one, x), value(one, y), value(x, x),
+            value(x, y), value(y, y), value(z, x), value(z, y), value(z, z)]
+
+
 def _point(x: float, y: float, w: float) -> MomentAccumulator:
     (mx, ex), (my, ey) = _dyadic(x), _dyadic(y)
     grid = min(ex, ey)
@@ -271,7 +348,13 @@ def from_points(points, weights=None) -> MomentAccumulator:
     if xs.size == 0:
         return _EMPTY
 
-    grid = _grid(np.concatenate((xs, ys)))
+    coords = np.concatenate((xs, ys))
+    grid = _grid(coords)
+    if ws is None:
+        width = math.frexp(float(np.abs(coords).max()))[1] - grid
+        if width <= _LIMB_WIDTH:
+            return _from_grid([DENOMINATOR * t for t in
+                               _limb_sums(xs, ys, grid, width)], 0, grid)
     wexp = 0 if ws is None else _grid(ws)
     totals = [0] * 9
     for lo in range(0, xs.size, _CHUNK):

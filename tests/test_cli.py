@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 import arcfit as af
 from arcfit.cli import main
-from arcfit.pointfile import parse_points, read_points, write_points
+from arcfit.pointfile import (_parse_lines, parse_points, read_points,
+                              write_points)
 
 from helpers import circle_points, extent, parcel_polyline
 
@@ -29,7 +31,7 @@ def run(capsys, *argv):
 class TestPointFile:
     def test_parse_with_comments_and_blanks(self):
         text = "# header\n1 2\n\n  3.5\t-4e-1\n# trailing\n"
-        assert parse_points(text) == [(1.0, 2.0), (3.5, -0.4)]
+        assert np.array_equal(parse_points(text), [(1.0, 2.0), (3.5, -0.4)])
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -41,7 +43,55 @@ class TestPointFile:
         pts = [(0.1, -2.25), (1e-17, 3.0)]
         path = tmp_path / "pts.txt"
         write_points(path, pts)
-        assert read_points(path) == pts
+        assert np.array_equal(read_points(path), pts)
+
+    def test_block_parser_matches_line_loop(self):
+        # The reference is the line-at-a-time loop over the whole text.
+        rng = random.Random(20)
+        good = ["1", "-2.5", "1e-300", "3E+2", "1_0", "nan", "-inf",
+                "Infinity", "+0", "-0.0", ".5", "7.", "\u0661\u0662",
+                "0.30000000000000004", "4.9e-324"]
+        bad = ["a", "1e", "0x10", "1__0", "_1", "1,0", "--1", "nan(1)",
+               "1\x00", "#2"]
+        spaces = [" ", "  ", "\t", " \t ", "\xa0", "\x1f", "\u3000"]
+        breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e",
+                  "\x85", "\u2028", "\u2029"]
+        fillers = ["", " ", "\t", "# comment", "  # x y", "#", "#1 2 3"]
+
+        def line(kind):
+            if kind == "filler":
+                return rng.choice(fillers)
+            toks = rng.choices(good, k=2)
+            if kind == "tokens":
+                toks = toks[:1] if rng.random() < 0.5 else toks + ["3"]
+            elif kind == "float":
+                toks[rng.randrange(2)] = rng.choice(bad)
+            lead, trail = rng.choices(["", rng.choice(spaces)], k=2)
+            return lead + rng.choice(spaces).join(toks) + trail
+
+        outcomes = {"array": 0, "error": 0}
+        for case in range(400):
+            n = rng.choice([0, 1, 2, 5, 30] * 3 + [1023, 1024, 1025, 2600])
+            kinds = rng.choices(["pair", "filler"], [9, 1], k=n)
+            for _ in range(rng.choice([1, 2]) if n and case % 2 else 0):
+                # up to two bad lines: a 1-token and a 3-token line
+                # together keep the block's token count even
+                kinds[rng.randrange(n)] = rng.choice(["tokens", "float"])
+            text = "".join(line(k) + rng.choice(breaks) for k in kinds)
+            try:
+                want = np.array(_parse_lines(text.splitlines(), 1),
+                                dtype=float).reshape(-1, 2)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    parse_points(text)
+                assert str(got.value) == str(exc)
+                outcomes["error"] += 1
+            else:
+                got = parse_points(text)
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                outcomes["array"] += 1
+        assert min(outcomes.values()) > 100
 
 
 class TestFitCommand:
@@ -95,6 +145,15 @@ class TestFitCommand:
         code, _, err = run(capsys, "fit", str(bad))
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("text", ["", "# header only\n\n  # x y\n"])
+    def test_file_without_points(self, capsys, tmp_path, text):
+        path = tmp_path / "none.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "fit", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: no points\n"
 
     def test_degenerate_fit_exit_code(self, capsys, tmp_path):
         line = tmp_path / "line.txt"

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import arcfit as af
+from arcfit import moments
 from arcfit.moments import DENOMINATOR, scale_exponent
 
 # The stored sums, in storage order, and their degree in the coordinates.
@@ -233,6 +234,102 @@ class TestSegmentsAndWeights:
     def test_centroid(self):
         acc = af.from_points([(0, 0), (2, 4)])
         assert af.centroid(acc) == (1.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the batch limb kernel against the Python-int power sums
+# ---------------------------------------------------------------------------
+
+def power_sums_oracle(pts):
+    """from_points(pts) by Python-int power sums on the same grid."""
+    pts = np.asarray(pts, dtype=float)
+    xs, ys = pts[:, 0], pts[:, 1]
+    grid = moments._grid(np.concatenate((xs, ys)))
+    sums = moments._power_sums(moments._grid_ints(xs, grid),
+                               moments._grid_ints(ys, grid), None)
+    return moments._from_grid([DENOMINATOR * s for s in sums], 0, grid)
+
+
+def limb_calls(monkeypatch):
+    """A list that gets one entry per call of the limb kernel."""
+    calls = []
+    kernel = moments._limb_sums
+
+    def counted(*args):
+        calls.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr(moments, "_limb_sums", counted)
+    return calls
+
+
+def spread_cloud(rng, n, width):
+    """n random points whose grid integers are exactly `width` bits wide:
+    full mantissas at binary exponents 0 to width - 53, both ends present,
+    with random signs."""
+    mant = rng.uniform(0.5, 1.0, (n, 2))
+    exps = rng.integers(1, width - 52, (n, 2))
+    exps[0] = (1, width - 52)      # frexp exponents 1 and width - 52
+    signs = rng.choice([-1.0, 1.0], (n, 2))
+    return signs * np.ldexp(mant, exps)
+
+
+class TestLimbKernel:
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4097])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-310])
+    def test_matches_power_sums(self, monkeypatch, n, scale):
+        calls = limb_calls(monkeypatch)
+        rng = np.random.default_rng(n)
+        pts = rng.normal(0.0, 1.0, (n, 2)) * scale
+        got, want = af.from_points(pts), power_sums_oracle(pts)
+        assert (got.sums, got.exp) == (want.sums, want.exp)
+        assert len(calls) == 1
+
+    def test_subnormal_points(self):
+        rng = np.random.default_rng(4)
+        pts = rng.integers(-2 ** 40, 2 ** 40, (3000, 2)) * 5e-324
+        got, want = af.from_points(pts), power_sums_oracle(pts)
+        assert (got.sums, got.exp) == (want.sums, want.exp)
+
+    @pytest.mark.parametrize("n", [1, 2049])
+    def test_signed_zeros(self, n):
+        rng = np.random.default_rng(6)
+        pts = rng.normal(0.0, 3.0, (n, 2))
+        pts[::3, 0] = 0.0
+        pts[1::3, 1] = -0.0
+        pts[::7] = (-0.0, 0.0)
+        got, want = af.from_points(pts), power_sums_oracle(pts)
+        assert (got.sums, got.exp) == (want.sums, want.exp)
+        zeros = af.from_points([(0.0, -0.0), (-0.0, -0.0)])
+        assert (zeros.sums, zeros.exp) == ((DENOMINATOR,) + (0,) * 8, 1)
+
+    @pytest.mark.parametrize("width, kernel", [(127, True), (128, True),
+                                               (129, False)])
+    @pytest.mark.parametrize("n", [1, 2049])
+    def test_width_threshold(self, monkeypatch, width, kernel, n):
+        calls = limb_calls(monkeypatch)
+        pts = spread_cloud(np.random.default_rng(width + n), n, width)
+        got, want = af.from_points(pts), power_sums_oracle(pts)
+        assert (got.sums, got.exp) == (want.sums, want.exp)
+        assert calls == ([width] if kernel else [])
+
+    @pytest.mark.parametrize("n", [2, 2049])
+    def test_extreme_mixes_take_the_fallback(self, monkeypatch, n):
+        calls = limb_calls(monkeypatch)
+        rng = np.random.default_rng(n)
+        pts = rng.choice([1e-300, -1e-300, 1e300, -1e300], (n, 2))
+        pts *= rng.uniform(1.0, 2.0, (n, 2))
+        pts[0] = (1e300, -1e-300)
+        got = af.from_points(pts)
+        assert calls == []
+        assert exact(got) == oracle_points(pts.tolist())
+
+    def test_weighted_batch_takes_the_fallback(self, monkeypatch):
+        calls = limb_calls(monkeypatch)
+        pts = np.random.default_rng(9).normal(0.0, 1.0, (50, 2))
+        acc = af.from_points(pts, np.full(50, 2.0))
+        assert calls == []
+        assert exact(acc) == [2 * v for v in exact(af.from_points(pts))]
 
 
 # ---------------------------------------------------------------------------
