@@ -8,6 +8,7 @@ reported degenerate geometry or a result outside the float range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,7 +35,9 @@ def _point_flag(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="arcfit",
         description="Moment-based circular arc fitting and polyline compression")
@@ -44,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a circle to a point file")
     p_fit.add_argument("input", help="point file (x y per line, # comments)")
     p_fit.add_argument("--through", action="append", type=_point_flag,
-                       default=[], metavar="X,Y",
+                       metavar="X,Y",
                        help="anchor the circle through this point (repeatable, up to 2)")
     p_fit.add_argument("--sweeps", type=int, default=1,
                        help="refinement sweeps for the unconstrained fit")
@@ -92,22 +95,23 @@ def _emit_kv(pairs: dict, fmt: str) -> None:
 
 def _cmd_fit(args) -> int:
     points = read_points(args.input)
-    if len(args.through) > 2:
+    anchors = args.through or []
+    if len(anchors) > 2:
         print("error: at most two --through anchors", file=sys.stderr)
         return 2
     if len(points) == 0:
         print(f"error: {args.input}: no points", file=sys.stderr)
         return 2
     acc = from_points(points)
-    if len(args.through) == 0:
+    if len(anchors) == 0:
         mode = "free"
         circle = free_fit(acc, sweeps=args.sweeps)
-    elif len(args.through) == 1:
+    elif len(anchors) == 1:
         mode = "one_point"
-        circle = one_point_fit(acc, args.through[0])
+        circle = one_point_fit(acc, anchors[0])
     else:
         mode = "two_point"
-        circle = two_point_fit(acc, args.through[0], args.through[1])
+        circle = two_point_fit(acc, anchors[0], anchors[1])
     pen = penalty(acc, circle)
     report = {
         "mode": mode,
@@ -117,7 +121,7 @@ def _cmd_fit(args) -> int:
         "penalty": pen,
         "exact_sse": exact_sse(points, circle),
         "n_points": len(points),
-        "anchors": [list(a) for a in args.through],
+        "anchors": [list(a) for a in anchors],
         "sweeps": args.sweeps,
     }
     _emit_kv(report, args.format)
@@ -149,6 +153,19 @@ def _cmd_compress(args) -> int:
     return 0
 
 
+def _mean(values: list) -> float:
+    """Mean of finite floats, also where their sum overflows: the values
+    are then scaled by a power of two that keeps the sum finite (exact
+    unless a value underflows) and the mean is scaled back."""
+    # An overflowing sum is expected here, and numpy need not warn about it.
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
+        if math.isfinite(mean):
+            return mean
+        k = len(values).bit_length()
+        return float(np.ldexp(np.mean(np.ldexp(values, -k)), k))
+
+
 def _cmd_compare(args) -> int:
     scenario = SimScenario(arc_span_deg=args.span, radius=args.radius,
                            n_points=args.points, noise_amp=args.noise,
@@ -171,15 +188,13 @@ def _cmd_compare(args) -> int:
         })
     closer = sum(abs(r["r_free"] - r["r_geom"]) < abs(r["r_kasa"] - r["r_geom"])
                  for r in rows)
-    # A mean whose sum overflows is refused below, without a numpy warning.
-    with np.errstate(over="ignore"):
-        aggregate = {
-            "true_radius": scenario.radius,
-            "mean_r_kasa": float(np.mean([r["r_kasa"] for r in rows])),
-            "mean_r_free": float(np.mean([r["r_free"] for r in rows])),
-            "mean_r_geom": float(np.mean([r["r_geom"] for r in rows])),
-            "frac_free_closer_than_kasa": closer / len(rows),
-        }
+    aggregate = {
+        "true_radius": scenario.radius,
+        "mean_r_kasa": _mean([r["r_kasa"] for r in rows]),
+        "mean_r_free": _mean([r["r_free"] for r in rows]),
+        "mean_r_geom": _mean([r["r_geom"] for r in rows]),
+        "frac_free_closer_than_kasa": closer / len(rows),
+    }
     text = _json({"trials": rows, "aggregate": aggregate})
     if args.format == "json":
         print(text)
@@ -195,7 +210,7 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "fit":
             return _cmd_fit(args)

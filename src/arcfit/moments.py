@@ -29,9 +29,12 @@ there is no gcd work anywhere. A batch of unit-weight points is summed with
 float64 matrix products that are exact (after Ozaki, Ogita, Oishi and Rump,
 "Error-free transformations of matrix multiplication by using fast routines
 of matrix multiplication", Numer. Algorithms 59, 2012): each grid integer is
-split into 16-bit limbs held in floats, the limbs of z = x^2 + y^2 come from
-a limb convolution with one carry step, and one Gram product per block of
-2048 rows gives every limb dot product. Every limb product is an integer
+split into 16-bit limbs held in floats. A block of up to 2048 points fills
+one preallocated array of limb planes, one row each for the ones, the
+signed limbs of x and of y and the limbs of z = x^2 + y^2, each row
+contiguous over the points; the z limbs come from a row-wise limb
+convolution with one carry step, and one Gram product rows @ rows.T per
+block gives every limb dot product. Every limb product is an integer
 below 2**40.2, so every partial sum is an integer below 2**53, which float64
 adds exactly in any order; the nine sums are recombined from the limb sums
 with Python ints. Weighted batches, batches wider than 128 bits, single
@@ -90,6 +93,8 @@ _BLOCK = 2048
 # 2**(16 k) as Python ints, to recombine limb sums exactly.
 _LIMB_POW = np.array([1 << 16 * k for k in range(2 * _LIMB_WIDTH // 16)],
                      dtype=object)
+# 2**(-16 k) as floats, to split a float integer into limbs.
+_LIMB_SCALE = np.ldexp(1.0, -16 * np.arange(_LIMB_WIDTH // 16 + 1))
 
 # Data whose mean squared distance from the frame origin lies within
 # 2**(+-_FREE_SCALE_BITS) is normalized without rescaling. The fitters take
@@ -236,31 +241,41 @@ def _power_sums(xs: list, ys: list, ws: list | None) -> list[int]:
             sum(map(mul, wz, xs)), sum(map(mul, wz, ys)), sum(map(mul, wz, zs))]
 
 
-def _limbs(ints: np.ndarray, n_limbs: int) -> np.ndarray:
-    """|ints| (float integers below 2**(16 n_limbs)) as an (n, n_limbs)
-    array of 16-bit limbs, least significant first. Exact: scaling by a
-    power of two, floor, and a difference that is a small integer."""
-    scale = np.ldexp(1.0, -16 * np.arange(n_limbs + 1))
-    q = np.floor(np.abs(ints)[:, None] * scale)
-    return q[:, :-1] - 65536.0 * q[:, 1:]
+def _limbs(ints: np.ndarray, out: np.ndarray) -> None:
+    """Write the 16-bit limbs of |ints| (float integers below
+    2**(16 n_limbs)) into the n_limbs rows of out, least significant first.
+    Exact: scaling by a power of two, floor, and a difference that is a
+    small integer."""
+    q = np.floor(np.multiply.outer(_LIMB_SCALE[:out.shape[0] + 1],
+                                   np.abs(ints)))
+    np.multiply(q[1:], -65536.0, out=out)
+    out += q[:-1]
 
 
-def _limb_block(xi: np.ndarray, yi: np.ndarray, n_limbs: int) -> np.ndarray:
-    """Rows [1, sign(x) x limbs, sign(y) y limbs, z limbs] of the integer
-    points (xi, yi), z = x^2 + y^2, as float64; Gram products of these
-    columns are the limb products of the radial sums."""
-    xl, yl = _limbs(xi, n_limbs), _limbs(yi, n_limbs)
-    # z's limb convolution: column j sums the products of limbs a + b = j,
-    # at most 16 products below 2**32 each.
-    z = np.zeros((xi.size, 2 * n_limbs))
-    for a in range(n_limbs):
-        z[:, a:a + n_limbs] += xl[:, a:a + 1] * xl + yl[:, a:a + 1] * yl
+def _limb_block(xi: np.ndarray, yi: np.ndarray, rows: np.ndarray) -> None:
+    """Fill the rows [1, sign(x) x limbs, sign(y) y limbs, z limbs] of the
+    integer points (xi, yi), z = x^2 + y^2, one column a point; row 0 holds
+    the ones already. Gram products of these rows are the limb products of
+    the radial sums."""
+    n_limbs = (rows.shape[0] - 1) // 4
+    xl = rows[1:1 + n_limbs]
+    yl = rows[1 + n_limbs:1 + 2 * n_limbs]
+    z = rows[1 + 2 * n_limbs:]
+    _limbs(xi, xl)
+    _limbs(yi, yl)
+    # z's limb convolution: row j sums the products of limbs a + b = j
+    # (a cross product a != b twice), at most 16 products below 2**32.
+    z[::2] = xl * xl + yl * yl
+    z[1::2] = 0.0
+    for a in range(n_limbs - 1):
+        z[2 * a + 1:a + n_limbs] += 2.0 * (xl[a] * xl[a + 1:]
+                                           + yl[a] * yl[a + 1:])
     # One carry step leaves every z limb below 2**16 + 2**20.
     carry = np.floor(z * 2.0 ** -16)
     z -= 65536.0 * carry
-    z[:, 1:] += carry[:, :-1]
-    return np.hstack((np.ones((xi.size, 1)), np.sign(xi)[:, None] * xl,
-                      np.sign(yi)[:, None] * yl, z))
+    z[1:] += carry[:-1]
+    xl *= np.sign(xi)
+    yl *= np.sign(yi)
 
 
 def _limb_sums(xs: np.ndarray, ys: np.ndarray, grid: int,
@@ -268,16 +283,19 @@ def _limb_sums(xs: np.ndarray, ys: np.ndarray, grid: int,
     """_power_sums of the integer points xs / 2**grid, ys / 2**grid, all
     below 2**width <= 2**_LIMB_WIDTH in magnitude, with unit weights.
 
-    Each block of rows is split into limbs (_limb_block) and one float64
-    Gram product gives every limb dot product exactly. The nine sums are
-    then recombined from the limb sums with Python ints.
+    Each block of points is split into limb rows (_limb_block) and one
+    float64 Gram product gives every limb dot product exactly. The nine
+    sums are then recombined from the limb sums with Python ints.
     """
     n_limbs = max(1, -(-width // 16))
+    rows = np.empty((1 + 4 * n_limbs, min(xs.size, _BLOCK)))
+    rows[0] = 1.0
     gram = 0
     for lo in range(0, xs.size, _BLOCK):
-        rows = _limb_block(np.ldexp(xs[lo:lo + _BLOCK], -grid),
-                           np.ldexp(ys[lo:lo + _BLOCK], -grid), n_limbs)
-        gram = gram + (rows.T @ rows).astype(np.int64).astype(object)
+        block = rows[:, :xs.size - lo]
+        _limb_block(np.ldexp(xs[lo:lo + _BLOCK], -grid),
+                    np.ldexp(ys[lo:lo + _BLOCK], -grid), block)
+        gram = gram + (block @ block.T).astype(np.int64).astype(object)
     one, x, y, z = (slice(0, 1), slice(1, 1 + n_limbs),
                     slice(1 + n_limbs, 1 + 2 * n_limbs),
                     slice(1 + 2 * n_limbs, 1 + 4 * n_limbs))

@@ -115,25 +115,46 @@ def exact_sse(points, c: Circle) -> float:
 
 def geometric_fit(points, start: Circle, max_iter: int = 200,
                   tol: float = 1e-12) -> Circle:
-    """Local minimizer of the radial deviations by Gauss-Newton with step
-    halving. The residual never increases; converges when the relative
-    parameter change drops below tol. Raises OutOfRange when an iterate
-    leaves the float range."""
+    """Local minimizer of the radial deviations e_i = |p_i - c| - r.
+
+    Each iteration builds, from dot products of u = dx/d, v = dy/d and e
+    over the points, the Gauss-Newton (GN) normal matrix J^T J and the full
+    Hessian of SSE/2, which adds sum(w v^2), sum(w u^2) and -sum(w u v)
+    (w = e/d) to the centre block. The Newton step is taken when a Cholesky
+    factorization of that Hessian succeeds; it converges quadratically
+    where GN, on this large-residual problem, converges only linearly.
+    Otherwise, or when no halving of the Newton step lowers the SSE, the GN
+    step is taken. A step is accepted at the first halving that does not
+    raise the SSE, so the residual never increases.
+
+    The fit ends with the first step whose predicted decrease of the SSE is
+    at or below 4 log2(n) 2**-53 SSE, the rounding floor of the float sum:
+    that step is taken whole when its SSE is within the floor of the
+    current one. It also ends when the relative parameter change drops
+    below tol or when no step lowers the SSE. Raises OutOfRange when an
+    iterate leaves the float range and NonConvergence after max_iter
+    iterations.
+    """
     pts = _pts(points)
-    if pts.shape[0] < 3:
+    n = pts.shape[0]
+    if n < 3:
         raise ValueError("geometric fit needs at least 3 points")
-    x = pts[:, 0]
-    y = pts[:, 1]
+    x = np.ascontiguousarray(pts[:, 0])
+    y = np.ascontiguousarray(pts[:, 1])
+    floor = 4.0 * math.log2(n) * 2.0 ** -53
+
+    def residuals(q):
+        dx = x - q[0]
+        dy = y - q[1]
+        d = np.hypot(dx, dy)
+        e = d - q[2]
+        return float(e @ e), dx, dy, d, e
+
     p = np.array([start.cx, start.cy, start.r])
-
-    def sse(params):
-        d = np.hypot(x - params[0], y - params[1])
-        return float(np.sum((d - params[2]) ** 2))
-
     # Far out in the float range the squares overflow; such an iterate is
     # refused below, and numpy need not warn about it on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        current = sse(p)
+        current, dx, dy, d, e = residuals(p)
         if not math.isfinite(current):
             # Every step would compare inf <= inf and pass. Fit the points
             # and start scaled by a power of two instead (exact unless a
@@ -151,39 +172,75 @@ def geometric_fit(points, start: Circle, max_iter: int = 200,
                 except OverflowError:
                     raise OutOfRange(
                         "geometric fit left the float range") from None
+        # Rows u, v, 1, e, w u, w v: the products of the first four with
+        # all six are every sum the steps need.
+        rows = np.empty((6, n))
+        rows[2] = 1.0
         for _ in range(max_iter):
-            dx = x - p[0]
-            dy = y - p[1]
-            d = np.hypot(dx, dy)
             d = np.maximum(d, 1e-300)
-            e = d - p[2]
-            jac = np.column_stack((-dx / d, -dy / d, -np.ones_like(d)))
-            jtj = jac.T @ jac
-            jte = jac.T @ e
-            try:
-                step = -np.linalg.solve(jtj, jte)
-            except np.linalg.LinAlgError:
-                step = -np.linalg.lstsq(jtj, jte, rcond=None)[0]
-
-            lam = 1.0
-            accepted = False
-            while lam >= 2.0 ** -40:
-                trial = p + lam * step
-                if trial[2] > 0.0:
-                    trial_sse = sse(trial)
-                    if trial_sse <= current:
-                        if not np.all(np.isfinite(trial)):
-                            raise OutOfRange(
-                                "geometric fit left the float range")
-                        moved = float(np.linalg.norm(lam * step))
-                        p, current, accepted = trial, trial_sse, True
-                        break
-                lam *= 0.5
-            if not accepted:
+            u = np.divide(dx, d, out=rows[0])
+            v = np.divide(dy, d, out=rows[1])
+            rows[3] = e
+            w = e / d
+            np.multiply(w, u, out=rows[4])
+            np.multiply(w, v, out=rows[5])
+            gram = rows[:4] @ rows.T
+            jtj = gram[:3, :3]
+            jte = gram[:3, 3]  # minus the gradient of SSE/2
+            hess = jtj.copy()
+            hess[0, 0] += gram[1, 5]
+            hess[1, 1] += gram[0, 4]
+            hess[0, 1] -= gram[1, 4]
+            hess[1, 0] = hess[0, 1]
+            for step in _steps(hess, jtj, jte):
+                predicted = jte @ step
+                if not predicted > 0.0:
+                    continue  # rounding in a near-singular solve
+                # A step whose predicted decrease is at the rounding floor is
+                # the last. Float SSEs that close cannot be ordered, so it is
+                # tried once, unhalved, and taken when its SSE is within the
+                # floor of the current one.
+                last = predicted <= floor * current
+                bound = current * (1.0 + floor) if last else current
+                lam = 1.0
+                while lam >= (1.0 if last else 2.0 ** -40):
+                    trial = p + lam * step
+                    if trial[2] > 0.0:
+                        res = residuals(trial)
+                        if res[0] <= bound:
+                            break
+                    lam *= 0.5
+                else:
+                    if last:
+                        return Circle(p[0], p[1], p[2])
+                    continue
+                break
+            else:
                 return Circle(p[0], p[1], p[2])
-            if moved <= tol * (1.0 + float(np.linalg.norm(p))):
+            if not np.all(np.isfinite(trial)):
+                raise OutOfRange("geometric fit left the float range")
+            moved = lam * float(np.linalg.norm(step))
+            p = trial
+            current, dx, dy, d, e = res
+            if last or moved <= tol * (1.0 + float(np.linalg.norm(p))):
                 return Circle(p[0], p[1], p[2])
     raise NonConvergence(f"geometric fit did not settle in {max_iter} iterations")
+
+
+def _steps(hess: np.ndarray, jtj: np.ndarray, jte: np.ndarray):
+    """Candidate steps in order: Newton when the Hessian is positive
+    definite, then Gauss-Newton."""
+    try:
+        np.linalg.cholesky(hess)
+        newton = np.linalg.solve(hess, jte)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        yield newton
+    try:
+        yield np.linalg.solve(jtj, jte)
+    except np.linalg.LinAlgError:
+        yield np.linalg.lstsq(jtj, jte, rcond=None)[0]
 
 
 def arc_deviation(p, arc: Arc) -> float:

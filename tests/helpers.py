@@ -515,3 +515,43 @@ def parcel_polyline(rng, n_arcs):
 def extent(pts) -> float:
     pts = np.asarray(pts, float)
     return float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
+
+
+# ---------------------------------------------------------------------------
+# dense Newton polish of the geometric fit
+# ---------------------------------------------------------------------------
+
+def radial_derivatives(pts, circle):
+    """Gradient and Hessian of SSE/2, SSE = sum (|p_i - c| - r)^2, in
+    (cx, cy, r): per-point first and second derivatives of the residual
+    summed as dense 3x3 matrices. Also returns the SSE."""
+    pts = np.asarray(pts, float)
+    dx = pts[:, 0] - circle.cx
+    dy = pts[:, 1] - circle.cy
+    d = np.hypot(dx, dy)
+    e = d - circle.r
+    jac = np.stack((-dx / d, -dy / d, -np.ones_like(d)), axis=1)
+    # The residual's second derivative: (I - n n^T) / d in the centre block,
+    # n the unit vector from the centre to the point.
+    sec = np.zeros((d.size, 3, 3))
+    sec[:, 0, 0] = dy * dy / d ** 3
+    sec[:, 1, 1] = dx * dx / d ** 3
+    sec[:, 0, 1] = sec[:, 1, 0] = -dx * dy / d ** 3
+    grad = np.einsum("n,ni->i", e, jac)
+    hess = (np.einsum("ni,nj->ij", jac, jac)
+            + np.einsum("n,nij->ij", e, sec))
+    return grad, hess, float(np.sum(e * e))
+
+
+def newton_polish(pts, start, iters=20):
+    """Plain Newton on the geometric SSE from start: full steps on the
+    dense Hessian of radial_derivatives, no line search, until the step is
+    at the rounding level of the parameters."""
+    p = np.array([start.cx, start.cy, start.r])
+    for _ in range(iters):
+        grad, hess, _ = radial_derivatives(pts, af.Circle(*p))
+        step = np.linalg.solve(hess, -grad)
+        p = p + step
+        if np.linalg.norm(step) <= 1e-15 * np.linalg.norm(p):
+            break
+    return af.Circle(*p)

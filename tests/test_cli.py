@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import arcfit as af
+from arcfit import cli
 from arcfit.cli import main
 from arcfit.pointfile import (_parse_lines, parse_points, read_points,
                               write_points)
@@ -409,16 +410,27 @@ class TestCompareCommand:
         assert set(agg) == {"true_radius", "mean_r_kasa", "mean_r_free",
                             "mean_r_geom", "frac_free_closer_than_kasa"}
 
-    def test_radius_beyond_float_range_is_degenerate(self, capsys):
-        # The geometric fit's squares overflow on the way; that is a result
-        # outside the float range (exit 3), and numpy must not warn about it.
+    def test_radius_near_float_max_keeps_finite_means(self, capsys):
+        # Every fit is finite, but the sum of two radii overflows; the means
+        # are taken without it, and numpy must not warn on the way.
+        ratio = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code, out, err = run(capsys, "compare", "--radius", "1e308",
-                                 "--trials", "2", "--points", "50")
-        assert code == 3, out
-        assert "OutOfRange" in err
-        assert "RuntimeWarning" not in err
+            for radius in ("1", "1e308"):
+                code, out, err = run(capsys, "compare", "--radius", radius,
+                                     "--trials", "2", "--points", "50",
+                                     "--format", "json")
+                assert code == 0, err
+                agg = json.loads(out)["aggregate"]
+                ratio[radius] = agg["mean_r_geom"] / agg["true_radius"]
+        assert ratio["1e308"] == pytest.approx(ratio["1"], rel=1e-9)
+
+    def test_short_noisy_arcs_settle(self, capsys):
+        # A 20-degree arc with 10% noise: Gauss-Newton steps alone run out
+        # of iterations on trial 24 of this seed.
+        code, _, err = run(capsys, "compare", "--span", "20", "--noise", "0.1",
+                           "--points", "1000", "--trials", "50", "--seed", "999")
+        assert code == 0, err
 
     def test_geometric_fit_keeps_its_scale_where_squares_overflow(self, capsys):
         # From about R = 1e155 the squared residuals overflow; the geometric
@@ -442,6 +454,18 @@ class TestCompareCommand:
 
 
 class TestEntryPoint:
+    def test_parser_is_shared_and_anchors_do_not_leak(self, capsys,
+                                                      unit_circle_file):
+        assert cli._parser() is cli._parser()
+        code, out, _ = run(capsys, "fit", str(unit_circle_file),
+                           "--through=1,0")
+        assert code == 0
+        assert json.loads(out)["anchors"] == [[1.0, 0.0]]
+        code, out, _ = run(capsys, "fit", str(unit_circle_file))
+        assert code == 0
+        report = json.loads(out)
+        assert (report["mode"], report["anchors"]) == ("free", [])
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
