@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from .errors import (CollinearOrDegenerate, DegeneratePencil, FitError,
                      NoArcExists, NonConvergence)
 from .moments import (MomentAccumulator, NormalizedMoments, accumulate_point,
-                      accumulate_segment, centroid, difference, empty,
-                      from_points, from_segments, merge, normalized, translate)
+                      centroid, difference, empty, from_points, merge,
+                      normalized, translate)
 from .quadratio import QuadRatio, RatioMin, minimize_ratio, ratio_value
 from .dirsearch import minimize
 from .fit import (Circle, free_fit, kasa_fit, one_point_fit, penalty,
@@ -32,8 +32,8 @@ __all__ = [
     "CollinearOrDegenerate", "DegeneratePencil", "FitError", "NoArcExists",
     "NonConvergence",
     "MomentAccumulator", "NormalizedMoments", "accumulate_point",
-    "accumulate_segment", "centroid", "difference", "empty", "from_points",
-    "from_segments", "merge", "normalized", "translate",
+    "centroid", "difference", "empty", "from_points", "merge", "normalized",
+    "translate",
     "QuadRatio", "RatioMin", "minimize_ratio", "ratio_value",
     "minimize",
     "Circle", "free_fit", "kasa_fit", "one_point_fit", "penalty",

@@ -22,7 +22,7 @@ import numpy as np
 from . import fit as _fit
 from .errors import NoArcExists, OutOfRange
 from .fit import Circle, two_point_fit
-from .moments import (DENOMINATOR, MomentAccumulator, _on_grid, _scaled_div,
+from .moments import (MomentAccumulator, _on_grid, _scaled_div,
                       accumulate_point, difference, empty)
 from .reference import _ENDPOINT_RTOL, Arc, check_tolerance_zigzag, exact_sse
 
@@ -236,7 +236,7 @@ def _line_sums(interior: MomentAccumulator, a, b) -> tuple[float, float, float]:
     ux, uy = bx - ax, by - ay
     len2 = ux * ux + uy * uy
     # sum |p - a|^2 and, with k = a x b, sum ((p - a) x u)^2 = sum (p x u - k)^2,
-    # on the grid: the sums carry 2**exp / DENOMINATOR, each length 2**-sh
+    # on the grid: the sums carry 2**exp, each length 2**-sh
     spread = ((((n20 + n02) << sh) - 2 * (ax * n10 + ay * n01)) << sh) \
         + (ax * ax + ay * ay) * n00
     exp = interior.exp - 2 * sh
@@ -244,11 +244,10 @@ def _line_sums(interior: MomentAccumulator, a, b) -> tuple[float, float, float]:
         k = ax * by - ay * bx
         cross = ((((uy * uy * n20 - 2 * ux * uy * n11 + ux * ux * n02) << sh)
                   - 2 * k * (uy * n10 - ux * n01)) << sh) + k * k * n00
-        line = _scaled_div(cross, DENOMINATOR * len2, exp)
+        line = _scaled_div(cross, len2, exp)
     else:
-        line = _scaled_div(spread, DENOMINATOR, exp)
-    return (line, _scaled_div(len2, 1, -2 * sh),
-            _scaled_div(spread, DENOMINATOR, exp))
+        line = _scaled_div(spread, 1, exp)
+    return (line, _scaled_div(len2, 1, -2 * sh), _scaled_div(spread, 1, exp))
 
 
 def _segment_cannot_pass(polyline, prefix: PrefixMoments, i: int, j: int,

@@ -35,8 +35,8 @@ import numpy as np
 from . import dirsearch
 from .errors import (CollinearOrDegenerate, DegeneratePencil, NoArcExists,
                      OutOfRange)
-from .moments import (DENOMINATOR, MomentAccumulator, NormalizedMoments,
-                      _on_grid, _scaled_div, _weight_int, centroid, normalized,
+from .moments import (MomentAccumulator, NormalizedMoments, _on_grid,
+                      _scaled_div, _weight_int, centroid, normalized,
                       scale_exponent, translate)
 from .quadratio import QuadRatio, minimize_ratio
 
@@ -302,11 +302,19 @@ class CircleObjective:
     """Adapter exposing the moment objective to the direction search.
 
     State is (cx, cy, r); a step of size t along (ax, ay, ar) moves the
-    center linearly and the squared radius by (ax^2+ay^2) t^2 + ar t.
+    center linearly and the squared radius by (ax^2+ay^2) t^2 + s ar t, with
+    s the objective's length unit. Measuring dr (a squared length) in units
+    of s makes every direction component a length, so the proxy's
+    eigen-directions scale with the data instead of turning. The unit
+    defaults to the data's centred RMS spread (1.0 for coincident points).
     """
 
-    def __init__(self, nm: NormalizedMoments):
+    def __init__(self, nm: NormalizedMoments, unit: float | None = None):
         self.nm = nm
+        if unit is None:
+            var = nm.m20 + nm.m02 - nm.m10 * nm.m10 - nm.m01 * nm.m01
+            unit = math.sqrt(var) if var > 0.0 else 1.0
+        self._scale = np.array([1.0, 1.0, unit])
         self._cache_key = None
         self._cache_val = None
 
@@ -322,13 +330,16 @@ class CircleObjective:
         return max(c.v, 0.0) / (4.0 * float(x[2]) ** 2)
 
     def hessian_proxy(self, x) -> np.ndarray:
-        return d_proxy(self._coeffs(x), float(x[2])).as_matrix()
+        """D H D with D = diag(1, 1, unit): the proxy in (dx, dy, dr/unit)."""
+        h = d_proxy(self._coeffs(x), float(x[2])).as_matrix()
+        return h * np.outer(self._scale, self._scale)
 
     def line_ratio(self, x, direction) -> QuadRatio:
-        return line_ratio(self._coeffs(x), float(x[2]), direction)
+        return line_ratio(self._coeffs(x), float(x[2]),
+                          self._scale * np.asarray(direction, dtype=float))
 
     def apply_step(self, x, direction, t):
-        ax, ay, ar = direction
+        ax, ay, ar = self._scale * np.asarray(direction, dtype=float)
         re = float(x[2])
         r2 = re * re + (ax * ax + ay * ay) * t * t + ar * t
         if r2 <= 1e-12 * re * re:
@@ -339,12 +350,23 @@ class CircleObjective:
 def free_fit(m, sweeps: int = 1, pre_center: bool = True, tol: float = 0.0) -> Circle:
     """Unconstrained fit: algebraic start, then `sweeps` eigen-direction
     sweeps on the bias-corrected objective. One sweep is normally enough;
-    use sweeps=20 with tol=1e-14 to converge beyond visible change."""
+    use sweeps=20 with tol=1e-14 to converge beyond visible change.
+
+    The first sweep measures dr in the data's own unit, so the one-sweep fit
+    of scaled data is the scaled fit, to rounding. Later sweeps use unit 1:
+    in the flat valley around the minimum the spread-scaled proxy is too
+    ill-conditioned to make progress. They converge to the minimum, which
+    is itself unit-free, but only as closely as the objective's flatness
+    there pins it down, so converged fits of scaled data agree to about
+    1e-8 relative, not to rounding."""
     nm, sx, sy, k = _shifted_frame(m, None, pre_center)
     start = kasa_fit(nm, pre_center=False)
-    obj = CircleObjective(nm)
-    x = dirsearch.minimize(obj, [start.cx, start.cy, start.r],
-                           sweeps=sweeps, tol=tol)
+    x, state = dirsearch.minimize(CircleObjective(nm),
+                                  [start.cx, start.cy, start.r], sweeps=1,
+                                  tol=tol, return_state=True)
+    if sweeps > 1 and not state.converged:
+        x = dirsearch.minimize(CircleObjective(nm, unit=1.0), x,
+                               sweeps=sweeps - 1, tol=tol)
     return Circle(math.ldexp(float(x[0]), k) + sx,
                   math.ldexp(float(x[1]), k) + sy,
                   math.ldexp(float(x[2]), k))
@@ -372,9 +394,8 @@ def penalty(acc: MomentAccumulator, c: Circle) -> float:
         x * x * n[3] + 2 * x * y * n[4] + y * y * n[5])
     t = (t << sh) - 4 * k * (x * n[1] + y * n[2])
     t = (t << sh) + k * k * n[0]
-    # sums carry 2**exp / DENOMINATOR, the grid 2**(4e), and 4 r^2 is
-    # 4 * r^2 * 2**(2e)
-    return _scaled_div(t, DENOMINATOR * r * r, acc.exp + 2 * e - 2)
+    # sums carry 2**exp, the grid 2**(4e), and 4 r^2 is 4 * r^2 * 2**(2e)
+    return _scaled_div(t, r * r, acc.exp + 2 * e - 2)
 
 
 def one_point_matrices(m, anchor) -> AnchoredQuadForms:

@@ -1,4 +1,4 @@
-"""The nine radial moment sums of weighted points or segments.
+"""The nine radial moment sums of weighted points.
 
 Every fit in this package is computed from the entries of the Kasa/Pratt
 moment matrix sum_i w_i * z_i z_i^T with z = (x^2 + y^2, x, y, 1): nine sums
@@ -8,14 +8,14 @@ of w times
 
 stored in that order (the first is the total weight). The accumulator
 stores them exactly, as Python integers N[i] that share one binary exponent
-E and a fixed denominator:
+E:
 
-    sum[i] = N[i] * 2**E / 15
+    sum[i] = N[i] * 2**E
 
 Every float is a dyadic rational m * 2**e, so point sums are integers on a
-common power-of-two grid; the 15 makes room for the 1/3 and 1/5 in segment
-integrals. The representation is canonical (the N are not all even unless
-all are zero, and then E is 0), so equal accumulators compare equal. Exact sums buy three things at once:
+common power-of-two grid. The representation is canonical (the N are not
+all even unless all are zero, and then E is 0), so equal accumulators
+compare equal. Exact sums buy three things at once:
 
 * merging shards is exactly commutative and associative, so accumulators
   built in parallel or split at any index agree bit for bit;
@@ -37,11 +37,11 @@ convolution with one carry step, and one Gram product rows @ rows.T per
 block gives every limb dot product. Every limb product is an integer
 below 2**40.2, so every partial sum is an integer below 2**53, which float64
 adds exactly in any order; the nine sums are recombined from the limb sums
-with Python ints. Weighted batches, batches wider than 128 bits, single
-points and segments take Python-int products instead. Normalization to
-floats happens once, at fit time, by correctly rounded integer division, and
-can rescale the points by an exact power of two first so that fourth-order
-moments of very small or very large data stay inside the float range.
+with Python ints. Weighted batches, batches wider than 128 bits and single
+points take Python-int products instead. Normalization to floats happens
+once, at fit time, by correctly rounded integer division, and can rescale
+the points by an exact power of two first so that fourth-order moments of
+very small or very large data stay inside the float range.
 """
 
 from __future__ import annotations
@@ -54,14 +54,11 @@ from operator import add, mul, or_, sub
 import numpy as np
 
 __all__ = [
-    "DENOMINATOR",
     "MomentAccumulator",
     "NormalizedMoments",
     "empty",
     "accumulate_point",
-    "accumulate_segment",
     "from_points",
-    "from_segments",
     "merge",
     "difference",
     "translate",
@@ -72,12 +69,6 @@ __all__ = [
 
 # Degree in the coordinates of each stored sum, in storage order.
 _ORDER = (0, 1, 1, 2, 2, 2, 3, 3, 4)
-
-# Common denominator of every stored sum (see the module docstring).
-DENOMINATOR = 15
-
-# Boole's rule on [0, 1] with nodes k/4: weights _BOOLE[k] / 90.
-_BOOLE = (7, 32, 12, 32, 7)
 
 # Points are converted to integers and folded in this many at a time, which
 # bounds the memory held by the per-point integer powers.
@@ -106,15 +97,16 @@ _FREE_SCALE_BITS = 128
 @dataclass(frozen=True)
 class MomentAccumulator:
     """Exact radial sums of w * (1, x, y, xx, xy, yy, zx, zy, zz), with
-    z = x^2 + y^2: sum i is sums[i] * 2**exp / DENOMINATOR. sums[0] belongs
-    to the total weight."""
+    z = x^2 + y^2: sum i is sums[i] * 2**exp. sums[0] belongs to the total
+    weight."""
 
     sums: tuple
     exp: int = 0
 
     @property
     def weight(self) -> float:
-        return _to_float(self.sums[0], self.exp)
+        n, e = self.sums[0], self.exp
+        return float(n << e) if e >= 0 else n / (1 << -e)
 
 
 _EMPTY = MomentAccumulator(sums=(0,) * 9, exp=0)
@@ -122,13 +114,6 @@ _EMPTY = MomentAccumulator(sums=(0,) * 9, exp=0)
 
 def empty() -> MomentAccumulator:
     return _EMPTY
-
-
-def _to_float(n: int, e: int) -> float:
-    """n * 2**e / DENOMINATOR, correctly rounded."""
-    if e >= 0:
-        return (n << e) / DENOMINATOR
-    return n / (DENOMINATOR << -e)
 
 
 def _scaled_div(num: int, den: int, exp: int) -> float:
@@ -161,8 +146,8 @@ def _weight_int(acc: MomentAccumulator) -> int:
 
 
 def _canonical(sums, e: int) -> MomentAccumulator:
-    """Accumulator of sums[i] * 2**e / DENOMINATOR with common factors of
-    two moved into the exponent."""
+    """Accumulator of sums[i] * 2**e with common factors of two moved into
+    the exponent."""
     low = reduce(or_, sums)
     if not low:
         return _EMPTY
@@ -174,8 +159,8 @@ def _canonical(sums, e: int) -> MomentAccumulator:
 
 
 def _from_grid(terms, wexp: int, grid: int) -> MomentAccumulator:
-    """Canonical accumulator of sums terms[i] * 2**(wexp + grid*(order of i))
-    / DENOMINATOR: one exponent for weights, one grid for coordinates."""
+    """Canonical accumulator of sums terms[i] * 2**(wexp + grid*(order of i)):
+    one exponent for weights, one grid for coordinates."""
     e = wexp + min(0, 4 * grid)
     return _canonical(
         [v << (wexp + grid * o - e) for v, o in zip(terms, _ORDER)], e)
@@ -319,7 +304,7 @@ def _point(x: float, y: float, w: float) -> MomentAccumulator:
     else:
         mw, wexp = _dyadic(w)
         terms = _power_sums(xs, ys, [mw])
-    return _from_grid([DENOMINATOR * t for t in terms], wexp, grid)
+    return _from_grid(terms, wexp, grid)
 
 
 def accumulate_point(acc: MomentAccumulator, p, w: float = 1.0) -> MomentAccumulator:
@@ -371,8 +356,7 @@ def from_points(points, weights=None) -> MomentAccumulator:
     if ws is None:
         width = math.frexp(float(np.abs(coords).max()))[1] - grid
         if width <= _LIMB_WIDTH:
-            return _from_grid([DENOMINATOR * t for t in
-                               _limb_sums(xs, ys, grid, width)], 0, grid)
+            return _from_grid(_limb_sums(xs, ys, grid, width), 0, grid)
     wexp = 0 if ws is None else _grid(ws)
     totals = [0] * 9
     for lo in range(0, xs.size, _CHUNK):
@@ -381,40 +365,7 @@ def from_points(points, weights=None) -> MomentAccumulator:
         sums = _power_sums(_grid_ints(xs[part], grid),
                            _grid_ints(ys[part], grid), iw)
         totals = list(map(add, totals, sums))
-    return _from_grid([DENOMINATOR * t for t in totals], wexp, grid)
-
-
-def accumulate_segment(acc: MomentAccumulator, p0, p1) -> MomentAccumulator:
-    """Fold in a line segment as the arc-length integral of each sum.
-
-    The segment contributes integral f ds, so its weight is its length. Along
-    the segment every integrand is a polynomial of degree at most four, so
-    Boole's rule on five equally spaced points integrates it exactly.
-    """
-    x0, y0 = float(p0[0]), float(p0[1])
-    x1, y1 = float(p1[0]), float(p1[1])
-    _require_finite(x0, y0, x1, y1)
-    if x0 == x1 and y0 == y1:
-        raise ValueError("zero-length segment")
-    dx, dy = x1 - x0, y1 - y0
-    length, lexp = _dyadic(math.hypot(dx, dy))
-    # Node k is (x0, y0) + (k/4) (dx, dy), on the grid 2**(grid - 2). On the
-    # grid 2**grid each integrand is a polynomial in t with integer
-    # coefficients, so its integral is a multiple of 1/60 there; hence each
-    # node sum is divisible by 3, and 90 = 3 * 2 * DENOMINATOR.
-    (qx0, qy0, qdx, qdy), grid = _on_grid(x0, y0, dx, dy)
-    terms = _power_sums([4 * qx0 + k * qdx for k in range(5)],
-                        [4 * qy0 + k * qdy for k in range(5)],
-                        [c * length for c in _BOOLE])
-    return _combine(acc, _from_grid([t // 3 for t in terms], lexp - 1,
-                                    grid - 2), add)
-
-
-def from_segments(segments) -> MomentAccumulator:
-    acc = empty()
-    for p0, p1 in segments:
-        acc = accumulate_segment(acc, p0, p1)
-    return acc
+    return _from_grid(totals, wexp, grid)
 
 
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
@@ -524,7 +475,11 @@ def scale_exponent(acc: MomentAccumulator) -> int:
     """Binary exponent k of the data scale about the origin, for
     normalized(acc, k): 0 when the mean squared distance of the points from
     the origin is within 2**(+-128) (the common case, left unscaled), else
-    the k that brings it near 1."""
+    the k that brings it near 1.
+
+    k only keeps the fitters' floats inside their range: no fit result
+    depends on which nearby k is chosen, since every fitter maps its result
+    back by the same exact power of two."""
     w = acc.sums[0]
     r2 = acc.sums[3] + acc.sums[5]
     if w <= 0 or r2 <= 0:

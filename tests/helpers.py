@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import arcfit as af
+from arcfit.dirsearch import SearchState
 from arcfit.fit import CircleObjective, Estimate, _shifted_frame, fit_coeffs
 from arcfit.quadratio import QuadRatio, ratio_value
 
@@ -336,12 +337,21 @@ def pratt_fit(pts) -> tuple[float, float, float]:
 
 def free_fit_with_state(acc, sweeps, tol):
     """free_fit flow with the search trace exposed (free_fit's frame: the
-    centroid at the origin, rescaled by a power of two; algebraic start)."""
+    centroid at the origin, rescaled by a power of two; algebraic start; a
+    first sweep in the data's unit, then sweeps in unit 1), the two
+    searches' traces merged into one."""
     nm, cx, cy, k = _shifted_frame(acc, None, True)
     start = af.kasa_fit(nm, pre_center=False)
-    obj = CircleObjective(nm)
-    x, state = af.minimize(obj, [start.cx, start.cy, start.r],
-                           sweeps=sweeps, tol=tol, return_state=True)
+    x, state = af.minimize(CircleObjective(nm), [start.cx, start.cy, start.r],
+                           sweeps=1, tol=tol, return_state=True)
+    if sweeps > 1 and not state.converged:
+        x, rest = af.minimize(CircleObjective(nm, unit=1.0), x,
+                              sweeps=sweeps - 1, tol=tol, return_state=True)
+        state = SearchState(
+            x=x, values=state.values + rest.values[1:],
+            sweep_deltas=state.sweep_deltas + rest.sweep_deltas,
+            sweeps_run=state.sweeps_run + rest.sweeps_run,
+            converged=rest.converged)
     return af.Circle(math.ldexp(float(x[0]), k) + cx,
                      math.ldexp(float(x[1]), k) + cy,
                      math.ldexp(float(x[2]), k)), state

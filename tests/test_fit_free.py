@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp, mpf
 
 import arcfit as af
+import arcfit.fit as fit_module
 from arcfit.errors import CollinearOrDegenerate
 from arcfit.fit import Estimate, d_proxy, fit_coeffs, line_ratio
 from arcfit.quadratio import ratio_value
@@ -277,6 +278,68 @@ class TestPrattOracle:
             gap = max(abs(got.cx - cx), abs(got.cy - cy), abs(got.r - r)) / r
             worst = max(worst, gap)
         assert worst <= 1e-8
+
+
+def scale_gap(got, want):
+    """Largest center or radius difference, relative to want's radius."""
+    return max(abs(got.cx - want.cx), abs(got.cy - want.cy),
+               abs(got.r - want.r)) / want.r
+
+
+def short_noisy_arcs(n):
+    """Short noisy arcs, where the free fit's objective is flattest: 30
+    points, spans 0.3 to 2 rad, disc noise 5% of the radius."""
+    rng = np.random.default_rng(21)
+    return [noisy_arc(rng, random_circle(rng), rng.uniform(0.3, 2.0), 30, 0.05)
+            for _ in range(n)]
+
+
+class TestScaleOracle:
+    """The fits do not depend on the data's unit: scaling the points scales
+    the circle, and so does the exact power-of-two rescale inside the
+    fitters, whichever nearby exponent it picks."""
+
+    @pytest.mark.parametrize("scale", [2.0, 3.0, 1e-3, 1e3, 2.0 ** 497,
+                                       2.0 ** 498, 2.0 ** -497, 2.0 ** -498])
+    def test_free_fit_scales_with_the_data(self, scale):
+        for pts in short_noisy_arcs(40):
+            base = af.free_fit(af.from_points(pts))
+            got = af.free_fit(af.from_points(pts * scale))
+            want = af.Circle(base.cx * scale, base.cy * scale, base.r * scale)
+            assert scale_gap(got, want) <= 1e-12
+            # Later sweeps run in unit 1 and stop where the objective is flat,
+            # so converged fits agree only to that flatness.
+            base = af.free_fit(af.from_points(pts), sweeps=20, tol=1e-14)
+            got = af.free_fit(af.from_points(pts * scale), sweeps=20, tol=1e-14)
+            want = af.Circle(base.cx * scale, base.cy * scale, base.r * scale)
+            assert scale_gap(got, want) <= 1e-7
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-300, 1e300])
+    def test_rescale_exponent_does_not_move_the_fits(self, monkeypatch, scale):
+        def fits(acc, pts):
+            out = []
+            for fit in (lambda: af.kasa_fit(acc), lambda: af.free_fit(acc),
+                        lambda: af.one_point_fit(acc, pts[0]),
+                        lambda: af.two_point_fit(acc, pts[0], pts[-1])):
+                try:
+                    out.append(fit())
+                except af.FitError as exc:
+                    out.append(type(exc))
+            return out
+
+        chosen = fit_module.scale_exponent
+        for pts in short_noisy_arcs(20):
+            pts = pts * scale
+            acc = af.from_points(pts)
+            want = fits(acc, pts)
+            for shift in (-1, 1):
+                monkeypatch.setattr(fit_module, "scale_exponent",
+                                    lambda a, shift=shift: chosen(a) + shift)
+                for got, ref in zip(fits(acc, pts), want):
+                    if isinstance(ref, type):
+                        assert got is ref
+                    else:
+                        assert scale_gap(got, ref) <= 1e-12
 
 
 class TestPenalty:
